@@ -26,7 +26,7 @@ from .polynomial import (
     resultant_eliminate,
 )
 from .ratmap import RationalMap
-from .ritt import RittSequence, common_iterate_equal_degree, ritt_sequence
+from .ritt import RittSequence, _common_iterate_of_sequence, ritt_sequence
 
 VAR1 = "x"
 VAR2 = "w"
@@ -247,8 +247,8 @@ def verify_lemma4(f: RationalMap, g: RationalMap,
     the generic orbit size of the correspondence built from the first
     decomposition step's outer pair.
     """
-    p = common_iterate_equal_degree(f, g, max_steps=max_steps)
     seq = ritt_sequence(f, g, max_steps=max_steps)
+    p = _common_iterate_of_sequence(f, g, seq)
     step = seq.steps[0]
     _, s_c = orbit_closure(Correspondence(step.a, step.b))
     d = f.degree

@@ -200,8 +200,7 @@ def _cycle_survey(f: RationalMap, n_max: int) -> tuple[list[CycleReport], int]:
     return reports, skipped
 
 
-def characteristic_exponents(f: RationalMap, n_max: int = 5,
-                             seed: int = 0) -> list[CycleReport]:
+def characteristic_exponents(f: RationalMap, n_max: int = 5) -> list[CycleReport]:
     """Cycle exponents for all periods up to n_max.
 
     Periodic points are numeric roots of the exact-period polynomials,
@@ -209,10 +208,8 @@ def characteristic_exponents(f: RationalMap, n_max: int = 5,
     the product of spherical derivative norms around the cycle, whose
     chart factors cancel exactly, so cycles through infinity need no
     special handling.  Root clusters that fail to close up within
-    tolerance are dropped.  Deterministic; seed is accepted for interface
-    stability.
+    tolerance are dropped.  Deterministic.
     """
-    del seed
     reports, _ = _cycle_survey(f, n_max)
     return reports
 

@@ -132,12 +132,6 @@ class Polynomial:
             n >>= 1
         return result
 
-    def shift_up(self, k: int) -> "Polynomial":
-        """Multiply by var**k."""
-        if self.is_zero():
-            return self
-        return Polynomial([_ZERO] * k + list(self.coeffs), self.var)
-
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
@@ -179,12 +173,6 @@ class Polynomial:
         acc = _ZERO
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def compose_poly(self, inner: "Polynomial") -> "Polynomial":
-        acc = Polynomial.zero(self.var)
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Polynomial.constant(c, self.var)
         return acc
 
     def complex_coeffs(self, embedding_index: int = 1) -> list[complex]:

@@ -7,6 +7,14 @@ The canonical scaling makes structural equality agree with equality of
 maps: a nonconstant denominator is made monic, otherwise the numerator is
 made monic and the constant denominator absorbs the scale.
 
+Every instance is stored reduced, and composition preserves that: when
+f = F/G and g = P/Q are reduced, the homogeneous composite of the two
+coprime pairs is coprime, since its resultant is a product of powers of
+their resultants (Silverman, The Arithmetic of Dynamical Systems, ch. 2).
+So substitution, composition, iteration and conjugation only rescale and
+never run the lowest-terms gcd; the general constructor keeps it for
+sums, products, quotients and derivatives, which can share factors.
+
 Infinity is a first-class point, handled through the INF sentinel rather
 than through ad hoc degree bookkeeping at call sites.
 """
@@ -60,23 +68,31 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            den = Polynomial.one(den.var)
-        else:
+        if not (num.is_zero() or den.is_zero()):
             g = gcd_univariate(num, den)
             if g.degree > 0:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-        if den.degree > 0:
-            scale = den.leading().inverse()
-        elif not num.is_zero():
-            scale = num.leading().inverse()
-        else:
-            scale = den.leading().inverse()
-        self.num = num.scale(scale)
-        self.den = den.scale(scale)
+        self._canonicalize(num, den)
+
+    @classmethod
+    def _from_coprime(cls, num: Polynomial, den: Polynomial):
+        """Build from a pair with no common factor; only the scaling runs."""
+        f = cls.__new__(cls)
+        f._canonicalize(num, den)
+        return f
+
+    def _canonicalize(self, num: Polynomial, den: Polynomial) -> None:
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            den = Polynomial.one(den.var)
+        lead = (num if den.degree == 0 and not num.is_zero() else den).leading()
+        if lead != _ONE:
+            scale = lead.inverse()
+            num, den = num.scale(scale), den.scale(scale)
+        self.num = num
+        self.den = den
 
     # -- queries -------------------------------------------------------------
 
@@ -102,7 +118,7 @@ class RationalFunction:
                                 self.den * other.den)
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._from_coprime(-self.num, self.den)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(self.num * other.num, self.den * other.den)
@@ -114,8 +130,8 @@ class RationalFunction:
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
-            return (RationalFunction(self.den, self.num)) ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
+            return RationalFunction._from_coprime(self.den, self.num) ** (-n)
+        return RationalFunction._from_coprime(self.num ** n, self.den ** n)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -135,11 +151,14 @@ class RationalFunction:
     __call__ = evaluate
 
     def substitute(self, inner: "RationalFunction") -> "RationalFunction":
-        """Composition self(inner) as rational functions."""
+        """Composition self(inner), reduced because both operands are.
+
+        A constant inner at a pole of self raises ZeroDivisionError.
+        """
         h = max(self.num.degree, self.den.degree)
         n = _homogeneous_eval(self.num, inner.num, inner.den, h)
         d = _homogeneous_eval(self.den, inner.num, inner.den, h)
-        return RationalFunction(n, d)
+        return RationalFunction._from_coprime(n, d)
 
     def derivative(self) -> "RationalFunction":
         n = self.num.derivative() * self.den - self.num * self.den.derivative()
@@ -183,25 +202,29 @@ def _homogeneous_eval(p: Polynomial, top: Polynomial, bottom: Polynomial,
 class RationalMap(RationalFunction):
     """A dominant endomorphism of the projective line (degree >= 1)."""
 
-    def __init__(self, num: Polynomial, den: Polynomial):
-        super().__init__(num, den)
+    def _canonicalize(self, num: Polynomial, den: Polynomial) -> None:
+        super()._canonicalize(num, den)
         if self.degree < 1:
             raise PreconditionError("constant fractions are not maps")
 
     @staticmethod
     def from_function(f: RationalFunction) -> "RationalMap":
-        return RationalMap(f.num, f.den)
+        return RationalMap._from_coprime(f.num, f.den)
 
     @staticmethod
     def polynomial_map(p: Polynomial) -> "RationalMap":
-        return RationalMap(p, Polynomial.one(p.var))
+        return RationalMap._from_coprime(p, Polynomial.one(p.var))
 
     @staticmethod
     def identity() -> "RationalMap":
-        return RationalMap(Polynomial.variable(), Polynomial.one())
+        return RationalMap._from_coprime(Polynomial.variable(), Polynomial.one())
 
     def compose(self, inner: "RationalMap") -> "RationalMap":
-        """self after inner; degrees multiply."""
+        """self after inner; degrees multiply.
+
+        Both maps are stored reduced and composition preserves that, so
+        the composite is only rescaled, never reduced by a gcd.
+        """
         return RationalMap.from_function(self.substitute(inner))
 
     def iterate(self, n: int, degree_cap: int = 5000) -> "RationalMap":
@@ -267,7 +290,9 @@ class Mobius:
         return Mobius(f.num.coeff(1), f.num.coeff(0), f.den.coeff(1), f.den.coeff(0))
 
     def to_map(self) -> RationalMap:
-        return RationalMap(Polynomial([self.b, self.a]), Polynomial([self.d, self.c]))
+        # a nonzero determinant makes the pair coprime
+        return RationalMap._from_coprime(Polynomial([self.b, self.a]),
+                                         Polynomial([self.d, self.c]))
 
     def inverse(self) -> "Mobius":
         return Mobius(self.d, -self.b, -self.c, self.a)

@@ -276,7 +276,13 @@ def common_iterate_equal_degree(f: RationalMap, g: RationalMap,
     their quotient has finite order p, and the identity is re-verified by
     exact composition before p is returned.
     """
-    seq = ritt_sequence(f, g, max_steps)
+    return _common_iterate_of_sequence(f, g, ritt_sequence(f, g, max_steps),
+                                       max_order)
+
+
+def _common_iterate_of_sequence(f: RationalMap, g: RationalMap,
+                                seq: RittSequence, max_order: int = 120) -> int:
+    """common_iterate_equal_degree for a sequence already computed from (f, g)."""
     if not seq.terminated:
         raise RittBudgetExhausted(
             "decomposition did not reach linear outer factors; "

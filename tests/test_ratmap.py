@@ -1,15 +1,20 @@
 """Map algebra: composition, iteration, commutation, conjugation."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import commdyn.ratmap
 from commdyn.errors import BudgetError, PreconditionError
 from commdyn.exactfield import rational, zeta
 from commdyn.parsing import parse_function, parse_map
+from commdyn.polynomial import Polynomial, gcd_univariate
 from commdyn.ratmap import (
     INF,
     Mobius,
     RationalMap,
+    _homogeneous_eval,
     is_inf,
     mobius_three_points,
     random_mobius,
@@ -174,3 +179,64 @@ def test_chain_rule(a, b):
     lhs = composed.derivative()
     rhs = f.derivative().substitute(g) * g.derivative()
     assert lhs == rhs
+
+
+def _random_map(rng: random.Random, k: int) -> RationalMap:
+    """A reduced map of degree at most 3 with small coefficients in Q(zeta_k)."""
+    unit = zeta(k)
+
+    def coeff():
+        return rational(rng.randint(-3, 3)) + unit * rng.randint(-2, 2)
+
+    while True:
+        num = Polynomial([coeff() for _ in range(rng.randint(1, 4))])
+        den = Polynomial([coeff() for _ in range(rng.randint(1, 4))])
+        try:
+            return RationalMap(num, den)
+        except (PreconditionError, ZeroDivisionError):
+            continue
+
+
+def _gcd_reduced_compose(f: RationalMap, g: RationalMap) -> RationalMap:
+    """f after g, reduced to lowest terms by the gcd."""
+    h = f.degree
+    return RationalMap(_homogeneous_eval(f.num, g.num, g.den, h),
+                       _homogeneous_eval(f.den, g.num, g.den, h))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_compose_matches_gcd_reduced_oracle(k):
+    rng = random.Random(20 + k)
+    fixed = [parse_map("1/z"), parse_map("3/(z^2 - 1)"),
+             parse_map("(z^2 + 1)/(2*z)").conjugate(random_mobius(5)),
+             parse_map("z^2 - 2").conjugate(Mobius(zeta(k), 1, 0, 1))]
+    maps = fixed + [_random_map(rng, k) for _ in range(24)]
+    maps += [m.conjugate(random_mobius(i)) for i, m in enumerate(maps[4:10])]
+    assert any(m.num.degree == 0 for m in maps)
+    for _ in range(60):
+        f, g = rng.choice(maps), rng.choice(maps)
+        composite = f.compose(g)
+        assert composite == _gcd_reduced_compose(f, g)
+        assert composite.degree == f.degree * g.degree
+        assert gcd_univariate(composite.num, composite.den).degree == 0
+
+
+def test_composition_runs_no_gcd(monkeypatch):
+    f = parse_map("(z^2 - 4)/(z - 1)")
+    g = parse_map("(zeta3*z^2 + 2)/(z + 1)")
+    inversion = parse_map("1/z")
+    m = random_mobius(4)
+    expected = f.compose(g)
+
+    def no_gcd(*args):
+        raise AssertionError("gcd_univariate was called")
+
+    monkeypatch.setattr(commdyn.ratmap, "gcd_univariate", no_gcd)
+    assert f.compose(g) == expected
+    assert RationalMap.from_function(expected) == expected
+    assert f.iterate(3).degree == 8
+    assert not f.commutes(g)
+    assert f.conjugate(m).degree == 2
+    assert f.substitute(inversion).degree == 2
+    assert -(-f) == f
+    assert (f ** -2) ** -1 == f ** 2
