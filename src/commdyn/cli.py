@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .correspondence import Correspondence, graph, orbit_closure, verify_lemma4
@@ -61,7 +61,6 @@ class RunConfig:
     depth: int = 24
     breadth: int = 256
     seed: int = 0
-    tolerance: float = 1e-6
     format: str = "text"
 
     def __post_init__(self):
@@ -69,15 +68,13 @@ class RunConfig:
                      "orbit_budget", "kmax", "depth", "breadth"):
             if getattr(self, name) < 1:
                 raise PreconditionError(f"{name} must be positive")
-        if self.tolerance <= 0:
-            raise PreconditionError("tolerance must be positive")
         if self.format not in FORMATS:
             raise PreconditionError(f"format must be one of {FORMATS}")
 
 
 def load_config(path: str) -> dict:
     """Read `key = value` lines into a dict of RunConfig overrides."""
-    kinds = {f.name: f.type for f in fields(RunConfig)}
+    names = {f.name for f in fields(RunConfig)}
     overrides = {}
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -92,15 +89,10 @@ def load_config(path: str) -> dict:
             raise InputParseError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in kinds:
+        if key not in names:
             raise InputParseError(f"config line {lineno}: unknown key {key!r}")
         try:
-            if key == "format":
-                overrides[key] = value
-            elif key == "tolerance":
-                overrides[key] = float(value)
-            else:
-                overrides[key] = int(value)
+            overrides[key] = value if key == "format" else int(value)
         except ValueError:
             raise InputParseError(f"config line {lineno}: bad value {value!r}")
     return overrides
@@ -141,19 +133,18 @@ def _read_or_inline(arg: str) -> str:
     return arg
 
 
-def _coefficient_conductors(f: RationalMap):
-    for poly in (f.num, f.den):
-        for i in range(poly.degree + 1):
-            yield poly.coeff(i).conductor
-
-
-def _load_map(arg: str, config: RunConfig) -> RationalMap:
-    f = parse_map(_read_or_inline(arg))
-    worst = max(_coefficient_conductors(f))
+def _within_field(f: RationalMap, config: RunConfig) -> RationalMap:
+    """f itself, once its coefficients are known to fit the conductor cap."""
+    worst = max(poly.coeff(i).conductor
+                for poly in (f.num, f.den) for i in range(poly.degree + 1))
     if worst > config.conductor:
         raise PreconditionError(
             f"map needs conductor {worst}, above the configured {config.conductor}")
     return f
+
+
+def _load_map(arg: str, config: RunConfig) -> RationalMap:
+    return _within_field(parse_map(_read_or_inline(arg)), config)
 
 
 def _load_scalar(arg: str):
@@ -183,9 +174,10 @@ def _load_orbit_points(arg: str):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputParseError(f"bad orbit file: {exc}")
-        if "points" not in data:
-            raise InputParseError("orbit file lacks a points list")
-        entries = data["points"]
+        entries = data.get("points")
+        if not (isinstance(entries, list)
+                and all(isinstance(entry, str) for entry in entries)):
+            raise InputParseError("orbit file needs a points list of strings")
     else:
         entries = [line.strip() for line in text.replace(";", "\n").splitlines()
                    if line.strip()]
@@ -198,25 +190,27 @@ def _load_orbit_points(arg: str):
 
 
 def _cmd_gen_chebyshev(args, config):
-    t = chebyshev(args.d, args.sign)
+    t = _within_field(chebyshev(args.d, args.sign), config)
     return {"map": str(t), "degree": t.degree}, 0
 
 
 def _cmd_gen_power(args, config):
-    f = power_map(args.d, inverse=args.inverse, unity_order=args.zeta,
-                  unity_exponent=args.exponent)
+    f = _within_field(power_map(args.d, inverse=args.inverse,
+                                unity_order=args.zeta,
+                                unity_exponent=args.exponent), config)
     return {"map": str(f), "degree": f.degree}, 0
 
 
 def _cmd_gen_lattes(args, config):
-    f = lattes_flexible(args.m, _load_scalar(args.a), _load_scalar(args.b))
+    f = _within_field(lattes_flexible(args.m, _load_scalar(args.a),
+                                      _load_scalar(args.b)), config)
     return {"map": str(f), "degree": f.degree}, 0
 
 
 def _cmd_ritt_seq(args, config):
     f = _load_map(args.f, config)
     g = _load_map(args.g, config)
-    seq = ritt_sequence(f, g, max_steps=args.max_steps or config.ritt_steps,
+    seq = ritt_sequence(f, g, max_steps=config.ritt_steps,
                         min_steps=args.min_steps)
     steps = [
         {"index": i, "r": s.r, "outer_degree": s.a.degree,
@@ -241,7 +235,7 @@ def _cmd_corr_graph(args, config):
 
 def _cmd_corr_closure(args, config):
     c = Correspondence(_load_map(args.a, config), _load_map(args.b, config))
-    union, size = orbit_closure(c, k_max=args.kmax or config.kmax)
+    union, size = orbit_closure(c, k_max=config.kmax)
     return {"union": str(union.poly), "bidegree": list(union.bidegree),
             "orbit_size": size}, 0
 
@@ -279,19 +273,16 @@ def _cmd_per_eq2(args, config):
 
 def _cmd_exp_lyapunov(args, config):
     f = _load_map(args.f, config)
-    est = lyapunov_estimate(f, depth=args.depth or config.depth,
-                            breadth=args.breadth or config.breadth,
-                            seed=config.seed if args.seed is None else args.seed)
+    est = lyapunov_estimate(f, depth=config.depth, breadth=config.breadth,
+                            seed=config.seed)
     return {"value": est.value, "std_error": est.std_error,
             "depth": est.depth, "breadth": est.breadth, "seed": est.seed}, 0
 
 
 def _cmd_exp_probe(args, config):
     f = _load_map(args.f, config)
-    rep = exceptionality_probe(
-        f, n_max=args.nmax, depth=args.depth or config.depth,
-        breadth=args.breadth or config.breadth,
-        seed=config.seed if args.seed is None else args.seed)
+    rep = exceptionality_probe(f, n_max=args.nmax, depth=config.depth,
+                               breadth=config.breadth, seed=config.seed)
     return {"verdict": rep.verdict, "count_above": rep.count_above,
             "cycles": len(rep.cycles), "skipped": rep.skipped,
             "lyapunov_value": rep.lyapunov.value,
@@ -302,7 +293,7 @@ def _cmd_exp_probe(args, config):
 def _cmd_orbit_explore(args, config):
     gens = _load_generators(args.generators, config)
     start = parse_point(args.start)
-    run = orbit(gens, start, budget=args.budget or config.orbit_budget)
+    run = orbit(gens, start, budget=config.orbit_budget)
     return {"status": run.status, "size": len(run),
             "points": [str(p) for p in run.points]}, 0
 
@@ -344,22 +335,31 @@ def _cmd_golden(args, config):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--format", choices=FORMATS, default=None,
+    # Every run-wide flag is declared once, here, with dest set to its
+    # RunConfig field.  The top parser and each leaf share these actions;
+    # a suppressed default keeps a leaf from erasing a value given before
+    # the subcommand, and a value given after it wins.
+    shared = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    shared.add_argument("--format", choices=FORMATS,
                         help="output format (default text)")
-    shared.add_argument("--seed", type=int, default=None,
+    shared.add_argument("--seed", type=int,
                         help="seed for randomized numerics")
-    shared.add_argument("--field", type=int, default=None, metavar="K",
+    shared.add_argument("--field", dest="conductor", type=int, metavar="K",
                         help="largest cyclotomic conductor accepted in inputs")
-    shared.add_argument("--config", default=None, metavar="FILE",
+    shared.add_argument("--config", metavar="FILE",
                         help="key = value settings file")
-    shared.add_argument("--degree-cap", type=int, default=None)
-    shared.add_argument("--budget-ritt", type=int, default=None,
-                        help="decomposition step budget")
-    shared.add_argument("--budget-orbit", type=int, default=None,
-                        help="orbit point budget")
-    shared.add_argument("--budget-kmax", type=int, default=None,
+    shared.add_argument("--degree-cap", dest="degree_cap", type=int)
+    shared.add_argument("--budget-ritt", "--max-steps", dest="ritt_steps",
+                        type=int, help="decomposition step budget")
+    shared.add_argument("--budget-orbit", "--budget", dest="orbit_budget",
+                        type=int, help="orbit point budget")
+    shared.add_argument("--budget-kmax", "--kmax", dest="kmax", type=int,
                         help="closure iteration budget")
+    shared.add_argument("--depth", type=int,
+                        help="pullback levels of the Lyapunov estimate")
+    shared.add_argument("--breadth", type=int,
+                        help="preimage branches kept per level")
 
     parser = argparse.ArgumentParser(
         prog="commdyn",
@@ -393,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = leaf(ritt, "seq", _cmd_ritt_seq, "shared-inner-factor sequence")
     sub.add_argument("f")
     sub.add_argument("g")
-    sub.add_argument("--max-steps", type=int, default=None)
     sub.add_argument("--min-steps", type=int, default=0)
     sub = leaf(ritt, "common-iterate", _cmd_ritt_common_iterate,
                "smallest p with equal p-th iterates")
@@ -408,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = leaf(corr, "closure", _cmd_corr_closure, "stabilized orbit union")
     sub.add_argument("a")
     sub.add_argument("b")
-    sub.add_argument("--kmax", type=int, default=None)
     sub = leaf(corr, "lemma4", _cmd_corr_lemma4,
                "first-step orbit size against the p * d^p bound")
     sub.add_argument("f")
@@ -435,13 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="command", required=True)
     sub = leaf(exp, "lyapunov", _cmd_exp_lyapunov, "Lyapunov exponent estimate")
     sub.add_argument("f")
-    sub.add_argument("--depth", type=int, default=None)
-    sub.add_argument("--breadth", type=int, default=None)
     sub = leaf(exp, "probe", _cmd_exp_probe, "cycle exponents against the estimate")
     sub.add_argument("f")
     sub.add_argument("--nmax", type=int, default=5)
-    sub.add_argument("--depth", type=int, default=None)
-    sub.add_argument("--breadth", type=int, default=None)
 
     orbit_group = groups.add_parser(
         "orbit", help="finite orbit exploration").add_subparsers(
@@ -450,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                "breadth-first closure under generators")
     sub.add_argument("generators", help="file with one map per line, or inline")
     sub.add_argument("--start", required=True)
-    sub.add_argument("--budget", type=int, default=None)
     sub = leaf(orbit_group, "phi", _cmd_orbit_phi,
                "log-degree residue and orbit action")
     sub.add_argument("g")
@@ -473,23 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    if getattr(args, "config", None):
-        overrides.update(load_config(args.config))
-    flag_map = {
-        "seed": "seed",
-        "field": "conductor",
-        "degree_cap": "degree_cap",
-        "budget_ritt": "ritt_steps",
-        "budget_orbit": "orbit_budget",
-        "budget_kmax": "kmax",
-        "format": "format",
-    }
-    for attr, field_name in flag_map.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[field_name] = value
-    return replace(RunConfig(), **overrides)
+    """RunConfig from the config file, then the flags given on the line."""
+    given = vars(args)
+    overrides = load_config(given["config"]) if "config" in given else {}
+    for f in fields(RunConfig):
+        if f.name in given:
+            overrides[f.name] = given[f.name]
+    return RunConfig(**overrides)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -235,6 +235,8 @@ def exceptionality_probe(f: RationalMap, n_max: int = 5, depth: int = 24,
     near-parabolic cycles are left out of the comparison.  The verdict
     is a heuristic, never a proof.
     """
+    if n_max < 1:
+        raise PreconditionError("n_max must be at least 1")
     estimate = lyapunov_estimate(f, depth=depth, breadth=breadth, seed=seed)
     cycles, skipped = _cycle_survey(f, n_max)
     considered = [c for c in cycles

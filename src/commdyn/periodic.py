@@ -11,6 +11,7 @@ along a commuting map is checked as exact polynomial divisibility.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .errors import (
@@ -18,14 +19,13 @@ from .errors import (
     PreconditionError,
     RetryExhausted,
 )
-from .exactfield import rational
 from .polynomial import (
     Polynomial,
     gcd_univariate,
     lagrange_interpolate,
     resultant,
 )
-from .ratmap import RationalMap, point_sort_key, random_mobius
+from .ratmap import RationalMap, point_sort_key, random_mobius, sample_points
 from .ritt import _prime_exponents
 
 
@@ -91,13 +91,6 @@ def exact_period_polynomial(f: RationalMap, n: int,
 _RETRY_SEEDS = 8
 
 
-def _integer_samples(count: int):
-    k = 0
-    for _ in range(count):
-        yield rational(k)
-        k = -k if k > 0 else -k + 1
-
-
 def multiplier_spectrum(f: RationalMap, n: int,
                         degree_cap: int = 5000) -> Polynomial:
     """Monic polynomial whose roots are the period-n multipliers of f.
@@ -127,7 +120,7 @@ def multiplier_spectrum(f: RationalMap, n: int,
     num, den = derivative.num, derivative.den
     phi = spec.phi
     xs, ys = [], []
-    for w in _integer_samples(phi.degree + 1):
+    for w in islice(sample_points(), phi.degree + 1):
         probe = den.scale(w) - num
         xs.append(w)
         ys.append(resultant(phi, probe))
@@ -165,7 +158,7 @@ def _commutes_with(g: RationalMap, fn: RationalMap) -> bool:
     degree at most D agreeing at 2D + 1 distinct points are equal, so
     pointwise agreement at enough integers settles it exactly.
     """
-    for w in _integer_samples(2 * g.degree * fn.degree + 1):
+    for w in islice(sample_points(), 2 * g.degree * fn.degree + 1):
         left = g.evaluate(fn.evaluate(w))
         right = fn.evaluate(g.evaluate(w))
         if point_sort_key(left) != point_sort_key(right):

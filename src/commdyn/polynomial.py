@@ -341,41 +341,6 @@ def lagrange_interpolate(xs: Sequence[FieldElement], ys: Sequence[FieldElement],
 # exact linear algebra
 # ---------------------------------------------------------------------------
 
-def linear_solve(matrix: Sequence[Sequence[FieldElement]],
-                 rhs: Sequence[FieldElement]):
-    """One exact solution of matrix * x = rhs, free variables set to zero.
-
-    Returns None when the system is inconsistent.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not aug[i][c].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][c].inverse()
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not aug[i][cols].is_zero():
-            return None
-    solution = [_ZERO] * cols
-    for row_idx, c in enumerate(pivots):
-        solution[c] = aug[row_idx][cols]
-    return solution
-
-
 def nullspace(matrix: Sequence[Sequence[FieldElement]]) -> list[list[FieldElement]]:
     """Basis of the kernel of the matrix, by reduced row echelon form."""
     rows = len(matrix)
@@ -580,16 +545,6 @@ class BiPolynomial:
         total = _ZERO
         for p in self.var2_coeffs()[::-1]:
             total = total * b + p.evaluate(a)
-        return total
-
-    def substitute_var2(self, value: FieldElement) -> Polynomial:
-        """Collapse var2 at an exact value, leaving a Polynomial in var1."""
-        coeffs = self.var2_coeffs()
-        total = Polynomial.zero(self.var1)
-        power = _ONE
-        for p in coeffs:
-            total = total + p.scale(power)
-            power = power * value
         return total
 
     # -- normalization -------------------------------------------------------

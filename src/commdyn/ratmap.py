@@ -55,6 +55,19 @@ def is_inf(p: Point) -> bool:
     return p is INF
 
 
+def sample_points():
+    """The integers 0, 1, -1, 2, -2, ... as field elements, without end.
+
+    The one stream of distinct sample points behind every pointwise
+    agreement check and interpolation; callers take what they need with
+    itertools.islice.
+    """
+    k = 0
+    while True:
+        yield rational(k)
+        k = -k if k > 0 else -k + 1
+
+
 def point_sort_key(p: Point):
     """Deterministic ordering with infinity last."""
     if is_inf(p):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 
 from .errors import (
     NoDegreeMatch,
@@ -22,7 +23,6 @@ from .errors import (
     RittBudgetExhausted,
     VerificationMismatch,
 )
-from .exactfield import rational
 from .polynomial import BiPolynomial, Polynomial, gcd_bivariate, nullspace
 from .ratmap import (
     INF,
@@ -31,6 +31,7 @@ from .ratmap import (
     RationalMap,
     mobius_three_points,
     point_sort_key,
+    sample_points,
 )
 
 
@@ -61,19 +62,9 @@ def fiber_gcd(f: RationalMap, g: RationalMap, *,
 
 
 def _anchor_points(count: int):
-    yield rational(0)
-    yield rational(1)
-    yield INF
-    k = 1
-    produced = 3
-    while produced < count:
-        yield rational(-k)
-        produced += 1
-        if produced >= count:
-            break
-        yield rational(k + 1)
-        produced += 1
-        k += 1
+    """0, 1, infinity, then the sample stream from -1 on: count points."""
+    ints = sample_points()
+    return chain(islice(ints, 2), [INF], islice(ints, count - 3))
 
 
 def _normalize_generator(u: RationalMap) -> RationalMap:
@@ -249,11 +240,7 @@ def _iterates_equal(f: RationalMap, p: int, g: RationalMap, q: int) -> bool:
     deg = f.degree ** p
     if deg <= _MATERIALIZE_CAP:
         return f.iterate(p) == g.iterate(q)
-    needed = 2 * deg + 1
-    produced = 0
-    k = 0
-    while produced < needed:
-        pt = rational(k)
+    for pt in islice(sample_points(), 2 * deg + 1):
         x = pt
         for _ in range(p):
             x = f(x)
@@ -262,8 +249,6 @@ def _iterates_equal(f: RationalMap, p: int, g: RationalMap, q: int) -> bool:
             y = g(y)
         if point_sort_key(x) != point_sort_key(y):
             return False
-        produced += 1
-        k = -k if k > 0 else -k + 1
     return True
 
 

@@ -207,3 +207,52 @@ class TestGoldenGate:
     def test_check_names_unique(self):
         names = [c.name for c in GOLDEN_CHECKS]
         assert len(names) == len(set(names))
+
+
+class TestOneValidationPoint:
+    """Run-wide flags go through RunConfig wherever they appear on the line."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["exp", "lyapunov", "z^2-1", "--breadth", "-5"], 4),
+        (["exp", "lyapunov", "z^2-1", "--depth", "-3"], 4),
+        (["exp", "lyapunov", "z^2-1", "--depth", "0"], 4),
+        (["orbit", "phi", "z^2", "z^8", '{"points": 5}'], 2),
+        (["orbit", "phi", "z^2", "z^8", '{"points": [5]}'], 2),
+        (["corr", "closure", "z^2", "zeta3*z^2", "--kmax", "-1"], 4),
+        (["--field", "2", "gen", "power", "2", "--zeta", "3"], 4),
+        (["--format", "structured", "gen", "chebyshev", "3"], 0),
+        (["exp", "probe", "z^2", "--nmax", "0"], 4),
+    ])
+    def test_documented_exit_code(self, capsys, argv, code):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        if code:
+            assert err.count("\n") == 0
+        else:
+            assert json.loads(out)["degree"] == 3
+
+    def test_top_level_flags_kept(self, capsys):
+        code, out, _ = run_cli(capsys, "--format", "structured", "--seed", "5",
+                               "--depth", "8", "--breadth", "16",
+                               "exp", "lyapunov", "z^2")
+        assert code == 0
+        data = json.loads(out)
+        assert (data["seed"], data["depth"], data["breadth"]) == (5, 8, 16)
+
+    @pytest.mark.parametrize("top, leaf, status", [
+        (["--budget-orbit", "100"], ["--budget", "3"], "BudgetExceeded"),
+        (["--budget", "3"], ["--budget-orbit", "100"], "Closed"),
+    ])
+    def test_leaf_spelling_wins(self, capsys, top, leaf, status):
+        code, out, _ = run_cli(capsys, *top, "orbit", "explore", "z^2; zeta3*z",
+                               "--start", "zeta7", *leaf)
+        assert code == 0
+        assert f"status: {status}" in out
+
+    def test_tolerance_key_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tolerance = 1e-6\n")
+        code, _, err = run_cli(capsys, "gen", "chebyshev", "2", "--config",
+                               str(cfg))
+        assert code == 2
+        assert "unknown key" in err

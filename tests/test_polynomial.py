@@ -13,7 +13,6 @@ from commdyn.polynomial import (
     gcd_bivariate,
     gcd_univariate,
     lagrange_interpolate,
-    linear_solve,
     nullspace,
     resultant,
     resultant_eliminate,
@@ -102,18 +101,6 @@ def test_squarefree_part():
     sf = squarefree_part(p)
     assert sf == (P(-1, 1) * P(2, 1)).monic()
     assert squarefree_part(P(0, 0, 0, 1)).degree == 1
-
-
-def test_linear_solve_cases():
-    one = FieldElement.one()
-    two = rational(2)
-    sol = linear_solve([[one, one], [one, -one]], [two, FieldElement.zero()])
-    assert sol == [rational(1), rational(1)]
-    # inconsistent
-    assert linear_solve([[one, one], [one, one]], [one, two]) is None
-    # underdetermined: free variable pinned to zero
-    sol = linear_solve([[one, one]], [two])
-    assert sol == [two, FieldElement.zero()]
 
 
 def test_nullspace():

@@ -1,6 +1,7 @@
 """Map algebra: composition, iteration, commutation, conjugation."""
 
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from commdyn.ratmap import (
     is_inf,
     mobius_three_points,
     random_mobius,
+    sample_points,
 )
 
 
@@ -27,6 +29,12 @@ def test_compose_quartic_factors():
     f = u.compose(v)
     assert f == parse_map("z*(z^3 - 8)/(z^3 + 1)")
     assert f.degree == 4
+
+
+def test_sample_points_zigzag():
+    # interpolation nodes and generator normalization depend on this order
+    assert list(islice(sample_points(), 7)) == [
+        rational(k) for k in (0, 1, -1, 2, -2, 3, -3)]
 
 
 def test_iterate_translation():
