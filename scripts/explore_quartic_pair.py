@@ -44,7 +44,7 @@ def main() -> None:
     print()
 
     print("g == h:", g == h)
-    print("g o h == h o g:", g.compose(h) == h.compose(g))
+    print("g o h == h o g:", g.commutes(h))
     t0 = time.monotonic()
     p = common_iterate_equal_degree(g, h)
     print(f"smallest common iterate exponent: p = {p}"

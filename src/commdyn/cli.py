@@ -8,7 +8,8 @@ check gate).
 
 Map arguments accept either a path to a file holding one map expression
 or the expression itself.  Exit codes: 0 success, 1 golden-gate failure,
-2 parse error, 3 budget exceeded, 4 precondition violated.
+2 parse error, 3 budget exceeded, 4 precondition violated, 5 internal
+error (a bug, reported in one line).
 """
 
 import argparse
@@ -493,6 +494,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CommdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 5
     print(emit_report(result, config.format))
     return code
 

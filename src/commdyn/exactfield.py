@@ -346,15 +346,10 @@ class FieldElement:
     def __pow__(self, exponent: int) -> "FieldElement":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = _ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        if exponent <= 1:
+            return self if exponent else _ONE
+        half = self ** (exponent // 2)
+        return half * half * self if exponent % 2 else half * half
 
     # -- equality, ordering keys, hashing -----------------------------------
 

@@ -23,6 +23,7 @@ from .ratmap import (
     Mobius,
     Point,
     RationalMap,
+    agree,
     is_inf,
     mobius_three_points,
     point_sort_key,
@@ -57,7 +58,7 @@ def verify_chebyshev_semiconjugacy(d: int) -> bool:
     rhs = RationalMap(
         Polynomial.from_ints([1] + [0] * (2 * d - 1) + [1]),
         Polynomial.variable() ** d)
-    return t.compose(joukowski) == rhs
+    return agree([t, joukowski], [rhs])
 
 
 def power_map(d: int, inverse: bool = False, unity_order: int = 1,

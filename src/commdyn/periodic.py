@@ -25,7 +25,7 @@ from .polynomial import (
     lagrange_interpolate,
     resultant,
 )
-from .ratmap import RationalMap, point_sort_key, random_mobius, sample_points
+from .ratmap import RationalMap, agree, random_mobius, sample_points
 from .ritt import _prime_exponents
 
 
@@ -151,25 +151,11 @@ def _compose_numerator_mod(poly: Polynomial, gnum: Polynomial,
     return acc
 
 
-def _commutes_with(g: RationalMap, fn: RationalMap) -> bool:
-    """Certified commutation test that never materializes the composites.
-
-    Both composites have degree at most deg(g) * deg(fn), and two maps of
-    degree at most D agreeing at 2D + 1 distinct points are equal, so
-    pointwise agreement at enough integers settles it exactly.
-    """
-    for w in islice(sample_points(), 2 * g.degree * fn.degree + 1):
-        left = g.evaluate(fn.evaluate(w))
-        right = fn.evaluate(g.evaluate(w))
-        if point_sort_key(left) != point_sort_key(right):
-            return False
-    return True
-
-
 def verify_multiplier_identity(f: RationalMap, g: RationalMap, n: int, p: int,
                                degree_cap: int = 5000) -> bool:
     """Exact check that (f^{np})' takes equal values at z and g(z) on Per_np.
 
+    The commutation of g with f^n is certified first by ratmap.agree.
     The identity holds at every period point of f^{np} where g is neither
     critical nor infinite, as a consequence of differentiating the
     commutation relation there.  Those excluded points are removed from
@@ -182,7 +168,7 @@ def verify_multiplier_identity(f: RationalMap, g: RationalMap, n: int, p: int,
     large-degree gcd is avoided.
     """
     fn = f.iterate(n, degree_cap)
-    if not _commutes_with(g, fn):
+    if not agree([g, fn], [fn, g]):
         raise PreconditionError(
             "the second map must commute with the n-th iterate of the first")
     big = fn.iterate(p, degree_cap)

@@ -170,10 +170,16 @@ class Polynomial:
             [self.coeffs[i] * i for i in range(1, len(self.coeffs))], self.var)
 
     def evaluate(self, x: FieldElement) -> FieldElement:
+        """Horner's rule; a run of zero coefficients costs one power of x."""
         acc = _ZERO
+        run = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            if c.is_zero():
+                run += 1
+                continue
+            acc = acc * (x if run == 0 else x ** (run + 1)) + c
+            run = 0
+        return acc * x ** run if run else acc
 
     def complex_coeffs(self, embedding_index: int = 1) -> list[complex]:
         return [c.embed_complex(embedding_index) for c in self.coeffs]

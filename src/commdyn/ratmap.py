@@ -17,12 +17,18 @@ sums, products, quotients and derivatives, which can share factors.
 
 Infinity is a first-class point, handled through the INF sentinel rather
 than through ad hoc degree bookkeeping at call sites.
+
+agree() is the one certified test that two composition chains are the
+same map; every commutation and identity check in the package uses it.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Union
+from functools import reduce
+from itertools import islice
+from math import prod
+from typing import Sequence, Union
 
 from .errors import BudgetError, PreconditionError
 from .exactfield import FieldElement, rational
@@ -58,9 +64,8 @@ def is_inf(p: Point) -> bool:
 def sample_points():
     """The integers 0, 1, -1, 2, -2, ... as field elements, without end.
 
-    The one stream of distinct sample points behind every pointwise
-    agreement check and interpolation; callers take what they need with
-    itertools.islice.
+    The one stream of distinct sample points behind agree() and the
+    interpolations; callers take what they need with itertools.islice.
     """
     k = 0
     while True:
@@ -73,6 +78,43 @@ def point_sort_key(p: Point):
     if is_inf(p):
         return (1,)
     return (0, p.sort_key())
+
+
+# Composing beats 2D + 1 evaluations about 100-fold for z^13 and its twist
+# by zeta12^5 (degree 169) but loses for the dense quartic pair at degree
+# 256, whose coefficients grow with every composition.
+_MATERIALIZE_CAP = 200
+
+
+def agree(lhs: Sequence[RationalMap], rhs: Sequence[RationalMap]) -> bool:
+    """Certified equality of two composition chains, each outermost first.
+
+    Composites of different degrees differ.  Up to _MATERIALIZE_CAP both
+    chains are composed and compared exactly.  Above it, agreement is
+    checked at the first 2D + 1 sample points, where D is the common
+    degree: two maps of degree D that agree at 2D + 1 distinct points are
+    equal, because the cross polynomial num1*den2 - num2*den1 has degree
+    at most 2D and vanishes at each agreement point (including infinity
+    hits, where both denominators vanish).
+    """
+    deg = prod(m.degree for m in lhs)
+    if deg != prod(m.degree for m in rhs):
+        return False
+    if deg <= _MATERIALIZE_CAP:
+        return _fold(lhs) == _fold(rhs)
+    return all(point_sort_key(_chain_at(lhs, pt)) == point_sort_key(_chain_at(rhs, pt))
+               for pt in islice(sample_points(), 2 * deg + 1))
+
+
+def _fold(chain: Sequence[RationalMap]) -> RationalMap:
+    """The composite of a chain, composed from the innermost map outward."""
+    return reduce(lambda inner, outer: outer.compose(inner), reversed(chain))
+
+
+def _chain_at(chain: Sequence[RationalMap], pt: Point) -> Point:
+    for m in reversed(chain):
+        pt = m(pt)
+    return pt
 
 
 class RationalFunction:
@@ -252,7 +294,7 @@ class RationalMap(RationalFunction):
         return result
 
     def commutes(self, other: "RationalMap") -> bool:
-        return self.compose(other) == other.compose(self)
+        return agree([self, other], [other, self])
 
     def conjugate(self, m: "Mobius") -> "RationalMap":
         """m^(-1) after self after m."""

@@ -29,6 +29,7 @@ from .ratmap import (
     Mobius,
     RationalFunction,
     RationalMap,
+    agree,
     mobius_three_points,
     point_sort_key,
     sample_points,
@@ -119,7 +120,7 @@ def left_factor(f: RationalMap, u: RationalMap) -> RationalMap:
         if candidate.is_constant():
             continue
         a = RationalMap.from_function(candidate)
-        if a.compose(u) == f:
+        if agree([a, u], [f]):
             return a
     raise NoFactorError("the map does not factor through the given inner map")
 
@@ -174,21 +175,6 @@ class RittSequence:
     consumed_budget: int
 
 
-def _check_step(step: RittStep) -> None:
-    if step.a.degree != step.b.degree:
-        raise VerificationMismatch("outer factor degrees disagree")
-    # interleaving identity a o u o b = b o u o a, written via the pair
-    if step.f_step.compose(step.b) != step.g_step.compose(step.a):
-        raise VerificationMismatch("interleaving identity failed")
-
-
-def _check_consecutive(prev: RittStep, cur: RittStep) -> None:
-    if cur.r > prev.r:
-        raise VerificationMismatch("outer factor degree increased")
-    if prev.a.compose(cur.b) != prev.b.compose(cur.a):
-        raise VerificationMismatch("consecutive-step identity failed")
-
-
 def ritt_sequence(f: RationalMap, g: RationalMap, max_steps: int = 32,
                   min_steps: int = 0) -> RittSequence:
     """Iterated shared-inner-factor decomposition of a commuting pair.
@@ -202,6 +188,9 @@ def ritt_sequence(f: RationalMap, g: RationalMap, max_steps: int = 32,
     """
     if f.degree != g.degree or f.degree < 2:
         raise PreconditionError("equal degrees of at least two are required")
+    if max_steps < 1 or min_steps < 0:
+        raise PreconditionError(
+            "max_steps must be at least one and min_steps nonnegative")
     cur_f, cur_g = f, g
     steps: list[RittStep] = []
     terminated = False
@@ -209,10 +198,17 @@ def ritt_sequence(f: RationalMap, g: RationalMap, max_steps: int = 32,
         # commutation of the next pair follows from the verified step
         # identities, so only the input pair is tested directly
         u, a, b = luroth_generator(cur_f, cur_g, check=not steps)
-        step = RittStep(a=a, b=b, u=u, f_step=cur_f, g_step=cur_g, r=a.degree)
-        _check_step(step)
+        # interleaving identity a o u o b = b o u o a, written via the pair;
+        # agree also rejects outer factors of different degrees
+        if not agree([cur_f, b], [cur_g, a]):
+            raise VerificationMismatch("interleaving identity failed")
         if steps:
-            _check_consecutive(steps[-1], step)
+            prev = steps[-1]
+            if a.degree > prev.r:
+                raise VerificationMismatch("outer factor degree increased")
+            if not agree([prev.a, b], [prev.b, a]):
+                raise VerificationMismatch("consecutive-step identity failed")
+        step = RittStep(a=a, b=b, u=u, f_step=cur_f, g_step=cur_g, r=a.degree)
         steps.append(step)
         if step.r == 1:
             terminated = True
@@ -222,36 +218,6 @@ def ritt_sequence(f: RationalMap, g: RationalMap, max_steps: int = 32,
     return RittSequence(tuple(steps), terminated, len(steps))
 
 
-_MATERIALIZE_CAP = 256
-
-
-def _iterates_equal(f: RationalMap, p: int, g: RationalMap, q: int) -> bool:
-    """Exact equality of f^p and g^q.
-
-    Low degrees are compared coefficient by coefficient.  Above the cap,
-    agreement is certified pointwise: two maps of degree D that agree at
-    2D + 1 distinct points are equal, because the cross polynomial
-    num1*den2 - num2*den1 has degree at most 2D and vanishes at each
-    agreement point (including infinity hits, where both denominators
-    vanish).
-    """
-    if f.degree ** p != g.degree ** q:
-        return False
-    deg = f.degree ** p
-    if deg <= _MATERIALIZE_CAP:
-        return f.iterate(p) == g.iterate(q)
-    for pt in islice(sample_points(), 2 * deg + 1):
-        x = pt
-        for _ in range(p):
-            x = f(x)
-        y = pt
-        for _ in range(q):
-            y = g(y)
-        if point_sort_key(x) != point_sort_key(y):
-            return False
-    return True
-
-
 def common_iterate_equal_degree(f: RationalMap, g: RationalMap,
                                 max_steps: int = 32,
                                 max_order: int = 120) -> int:
@@ -259,7 +225,7 @@ def common_iterate_equal_degree(f: RationalMap, g: RationalMap,
 
     The decomposition sequence ends with linear-fractional outer factors;
     their quotient has finite order p, and the identity is re-verified by
-    exact composition before p is returned.
+    ratmap.agree before p is returned.
     """
     return _common_iterate_of_sequence(f, g, ritt_sequence(f, g, max_steps),
                                        max_order)
@@ -277,7 +243,7 @@ def _common_iterate_of_sequence(f: RationalMap, g: RationalMap,
     p = sigma.order(max_order)
     if p is None:
         raise OrderNotFound("terminal quotient has no order up to the cap")
-    if not _iterates_equal(f, p, g, p):
+    if not agree([f] * p, [g] * p):
         raise VerificationMismatch("candidate exponent failed the recheck")
     return p
 

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionError,
 )
 from .periodic import logarithmic_degree
-from .ratmap import Point, RationalMap, point_sort_key
+from .ratmap import Point, RationalMap, agree, point_sort_key
 
 ORBIT_CLOSED = "Closed"
 ORBIT_BUDGET_EXCEEDED = "BudgetExceeded"
@@ -187,4 +187,4 @@ def verify_identity_eq8(g: RationalMap, h: RationalMap, N: int,
     big_g = g.iterate(N, degree_cap)
     big_h = h.iterate(N, degree_cap)
     mixed = big_g.compose(big_h).iterate(N, degree_cap)
-    return big_g.compose(mixed) == mixed.compose(big_g)
+    return agree([big_g, mixed], [mixed, big_g])

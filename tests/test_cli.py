@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from commdyn import cli
 from commdyn.cli import RunConfig, emit_report, load_config, main
 from commdyn.errors import PreconditionError
 from commdyn.golden import GOLDEN_CHECKS, GoldenCheck, run_golden_suite
@@ -222,6 +223,7 @@ class TestOneValidationPoint:
         (["--field", "2", "gen", "power", "2", "--zeta", "3"], 4),
         (["--format", "structured", "gen", "chebyshev", "3"], 0),
         (["exp", "probe", "z^2", "--nmax", "0"], 4),
+        (["ritt", "seq", "z^2", "z^2", "--min-steps", "-1"], 4),
     ])
     def test_documented_exit_code(self, capsys, argv, code):
         got, out, err = run_cli(capsys, *argv)
@@ -248,6 +250,16 @@ class TestOneValidationPoint:
                                "--start", "zeta7", *leaf)
         assert code == 0
         assert f"status: {status}" in out
+
+    def test_internal_error_is_five(self, capsys, monkeypatch):
+        def broken(args, config):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_gen_chebyshev", broken)
+        code, out, err = run_cli(capsys, "gen", "chebyshev", "3")
+        assert code == 5
+        assert out == ""
+        assert err == "internal error: RuntimeError('boom')"
 
     def test_tolerance_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -197,3 +197,20 @@ def test_resultant_eliminate_shared_component_returns_zero():
     q2 = BiPolynomial([[-3], [1]], "y", "w")
     assert resultant_eliminate(p2, q2).is_zero()
     assert not resultant_eliminate(p, q).is_zero()
+
+
+def test_sparse_evaluate_and_power_match_repeated_multiplication():
+    # runs of zero coefficients are jumped with one power of x; the
+    # reference multiplies x in one factor at a time
+    rng = random.Random(11)
+    for x in (rational(-3, 2), zeta(3) + 2, zeta(12) * rational(5)):
+        powers = [rational(1)]
+        for _ in range(40):
+            powers.append(powers[-1] * x)
+        assert all(x ** e == powers[e] for e in range(41))
+        for _ in range(15):
+            coeffs = [rational(rng.randint(-4, 4)) if rng.random() < 0.3
+                      else rational(0) for _ in range(rng.randint(1, 40))]
+            expected = sum((c * powers[i] for i, c in enumerate(coeffs)),
+                           rational(0))
+            assert Polynomial(coeffs).evaluate(x) == expected

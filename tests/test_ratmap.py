@@ -9,13 +9,16 @@ from hypothesis import given, settings, strategies as st
 import commdyn.ratmap
 from commdyn.errors import BudgetError, PreconditionError
 from commdyn.exactfield import rational, zeta
+from commdyn.exceptional import chebyshev, power_map
 from commdyn.parsing import parse_function, parse_map
+from commdyn.periodic import verify_multiplier_identity
 from commdyn.polynomial import Polynomial, gcd_univariate
 from commdyn.ratmap import (
     INF,
     Mobius,
     RationalMap,
     _homogeneous_eval,
+    agree,
     is_inf,
     mobius_three_points,
     random_mobius,
@@ -213,7 +216,7 @@ def _gcd_reduced_compose(f: RationalMap, g: RationalMap) -> RationalMap:
 
 
 @pytest.mark.parametrize("k", [1, 3])
-def test_compose_matches_gcd_reduced_oracle(k):
+def test_compose_matches_gcd_reduced_oracle(monkeypatch, k):
     rng = random.Random(20 + k)
     fixed = [parse_map("1/z"), parse_map("3/(z^2 - 1)"),
              parse_map("(z^2 + 1)/(2*z)").conjugate(random_mobius(5)),
@@ -227,6 +230,13 @@ def test_compose_matches_gcd_reduced_oracle(k):
         assert composite == _gcd_reduced_compose(f, g)
         assert composite.degree == f.degree * g.degree
         assert gcd_univariate(composite.num, composite.den).degree == 0
+        # agree matches the materialized == on both of its branches
+        swapped = g.compose(f)
+        for cap in (256, 0):
+            monkeypatch.setattr(commdyn.ratmap, "_MATERIALIZE_CAP", cap)
+            assert agree([f, g], [g, f]) == (composite == swapped)
+            assert agree([f, g], [composite])
+        monkeypatch.undo()
 
 
 def test_composition_runs_no_gcd(monkeypatch):
@@ -248,3 +258,33 @@ def test_composition_runs_no_gcd(monkeypatch):
     assert f.substitute(inversion).degree == 2
     assert -(-f) == f
     assert (f ** -2) ** -1 == f ** 2
+
+
+def test_agree_unequal_degree_products(monkeypatch):
+    square, cube = parse_map("z^2"), parse_map("z^3")
+
+    def no_compose(*args):
+        raise AssertionError("a chain was composed")
+
+    monkeypatch.setattr(RationalMap, "compose", no_compose)
+    assert not agree([square], [square, square])
+    assert not agree([square, cube], [parse_map("z^5")])
+
+
+@pytest.mark.parametrize("cap", [256, 0])
+def test_agree_branches(monkeypatch, cap):
+    monkeypatch.setattr(commdyn.ratmap, "_MATERIALIZE_CAP", cap)
+    square, shift, inversion = parse_map("z^2"), parse_map("z + 1"), parse_map("1/z")
+    assert not agree([square, shift], [shift, square])
+    # 0 and infinity are swapped by the inversion, so sample points hit poles
+    assert agree([square, inversion], [inversion, square])
+    assert agree([chebyshev(2), chebyshev(3)], [chebyshev(6)])
+    assert agree([square] * 3, [parse_map("z^8")])
+    assert not agree([square] * 3, [parse_map("z^8 + 1")])
+
+
+def test_multiplier_identity_twisted_power_map():
+    twisted = power_map(13, unity_order=12, unity_exponent=5)
+    assert verify_multiplier_identity(power_map(13), twisted, 1, 1)
+    with pytest.raises(PreconditionError):
+        verify_multiplier_identity(parse_map("z^2"), parse_map("z + 1"), 1, 1)

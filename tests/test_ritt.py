@@ -128,6 +128,10 @@ def test_sequence_preconditions():
         ritt_sequence(chebyshev(2), chebyshev(3))  # unequal degrees
     with pytest.raises(PreconditionError):
         ritt_sequence(parse_map("z^2"), parse_map("z^2 + 1"))  # non-commuting
+    with pytest.raises(PreconditionError):
+        ritt_sequence(parse_map("z^2"), parse_map("z^2"), min_steps=-1)
+    with pytest.raises(PreconditionError):
+        ritt_sequence(parse_map("z^2"), parse_map("z^2"), max_steps=0)
 
 
 # ----------------------------------------------------------- common iterate
