@@ -145,11 +145,12 @@ def _within_field(f: RationalMap, config: RunConfig) -> RationalMap:
 
 
 def _load_map(arg: str, config: RunConfig) -> RationalMap:
-    return _within_field(parse_map(_read_or_inline(arg)), config)
+    f = parse_map(_read_or_inline(arg), degree_cap=config.degree_cap)
+    return _within_field(f, config)
 
 
-def _load_scalar(arg: str):
-    value = parse_point(arg)
+def _load_scalar(arg: str, config: RunConfig):
+    value = parse_point(arg, config.degree_cap)
     if is_inf(value):
         raise PreconditionError("expected a finite scalar")
     return value
@@ -167,7 +168,7 @@ def _load_generators(arg: str, config: RunConfig) -> list[RationalMap]:
     return [_load_map(chunk, config) for chunk in chunks]
 
 
-def _load_orbit_points(arg: str):
+def _load_orbit_points(arg: str, config: RunConfig):
     text = _read_or_inline(arg)
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -184,7 +185,7 @@ def _load_orbit_points(arg: str):
                    if line.strip()]
     if not entries:
         raise InputParseError("no orbit points found")
-    return [parse_point(entry) for entry in entries]
+    return [parse_point(entry, config.degree_cap) for entry in entries]
 
 
 # -- command handlers --------------------------------------------------------
@@ -203,8 +204,8 @@ def _cmd_gen_power(args, config):
 
 
 def _cmd_gen_lattes(args, config):
-    f = _within_field(lattes_flexible(args.m, _load_scalar(args.a),
-                                      _load_scalar(args.b)), config)
+    f = _within_field(lattes_flexible(args.m, _load_scalar(args.a, config),
+                                      _load_scalar(args.b, config)), config)
     return {"map": str(f), "degree": f.degree}, 0
 
 
@@ -293,7 +294,7 @@ def _cmd_exp_probe(args, config):
 
 def _cmd_orbit_explore(args, config):
     gens = _load_generators(args.generators, config)
-    start = parse_point(args.start)
+    start = parse_point(args.start, config.degree_cap)
     run = orbit(gens, start, budget=config.orbit_budget)
     return {"status": run.status, "size": len(run),
             "points": [str(p) for p in run.points]}, 0
@@ -302,7 +303,7 @@ def _cmd_orbit_explore(args, config):
 def _cmd_orbit_phi(args, config):
     g = _load_map(args.g, config)
     reference = _load_map(args.reference, config)
-    pts = _load_orbit_points(args.orbit)
+    pts = _load_orbit_points(args.orbit, config)
     value = classifier_phi(g, reference, pts)
     if value is None:
         return {"result": "undefined"}, 0

@@ -1,10 +1,25 @@
 """Exact arithmetic in cyclotomic extensions of the rationals.
 
 Elements live in Q(zeta_k) for a conductor k and are stored as residues
-modulo the k-th cyclotomic polynomial, with rational coefficients.  Mixed
-conductors are lifted to the least common multiple on demand, and every
-result is pushed back down to its minimal conductor so that equal values
-always have identical representations (which makes hashing safe).
+modulo the k-th cyclotomic polynomial Phi_k, phi(k) rational coefficients
+in the power basis of zeta_k.
+
+All reduction runs on one cached table per conductor: row j is x^j mod
+Phi_k for 0 <= j < k, and since zeta_k^k = 1, row j mod k serves every
+exponent j.  The fold of a coefficient list indexed by exponent sums each
+coefficient times its row.  A product is a convolution and a fold; the
+lift of an element of Q(zeta_d) into Q(zeta_k), d | k, folds it at the
+exponents j*k/d; the Galois conjugate sigma_a (zeta_k -> zeta_k^a) folds
+it at j*a mod k; and the inverse of x is the product of its other
+conjugates divided by the norm, the rational number x times that product
+(Washington, *Introduction to Cyclotomic Fields*, GTM 83, ch. 2).
+
+Mixed conductors are lifted to the least common multiple on demand, and
+every result is pushed back down to its minimal conductor, so that equal
+values always have identical representations (which makes hashing safe).
+For each maximal proper subfield Q(zeta_d) a left inverse P of the lift,
+found once by `polynomial.nullspace`, projects a residue v to c = P v,
+and v lies in Q(zeta_d) exactly when c lifts back to v.
 
 The conductor is capped: the cap keeps every computation at desk scale,
 and nothing in this package needs roots of unity beyond it.
@@ -13,6 +28,7 @@ and nothing in this package needs roots of unity beyond it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Union
 
@@ -39,163 +55,128 @@ def euler_phi(k: int) -> int:
     return result
 
 
-# ---------------------------------------------------------------------------
-# plain Fraction-list polynomial helpers (coefficients low to high degree)
-# ---------------------------------------------------------------------------
-
-def _trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [_F0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    q = [_F0] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
-    while len(a) >= len(b):
-        coeff = a[-1] * inv_lead
-        shift = len(a) - len(b)
-        q[shift] = coeff
-        if coeff:
-            for i, bi in enumerate(b):
-                a[shift + i] -= coeff * bi
-        a.pop()
-        _trim(a)
-        if not a:
-            break
-    return _trim(q), a
-
-
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid over Q[x]; returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [_F1], []
-    t0, t1 = [], [_F1]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _trim([x - y for x, y in _zip_pad(s0, _poly_mul(q, s1))])
-        t0, t1 = t1, _trim([x - y for x, y in _zip_pad(t0, _poly_mul(q, t1))])
-    return r0, s0, t0
-
-
-def _zip_pad(a: list[Fraction], b: list[Fraction]):
-    n = max(len(a), len(b))
-    for i in range(n):
-        yield (a[i] if i < len(a) else _F0), (b[i] if i < len(b) else _F0)
-
-
-_CYCLO_CACHE: dict[int, tuple[Fraction, ...]] = {}
-
-
-def _cyclo_coeffs(k: int) -> tuple[Fraction, ...]:
-    """Coefficients of the k-th cyclotomic polynomial, low to high."""
-    cached = _CYCLO_CACHE.get(k)
-    if cached is not None:
-        return cached
-    # divide x^k - 1 by the cyclotomic polynomials of all proper divisors
-    num = [_F0] * (k + 1)
-    num[0], num[k] = Fraction(-1), _F1
-    for d in range(1, k):
-        if k % d == 0:
-            num, rem = _poly_divmod(num, list(_cyclo_coeffs(d)))
-            assert not rem
-    result = tuple(num)
-    _CYCLO_CACHE[k] = result
+def _ring_pow(x, n: int, one):
+    """x^n for n >= 0 by left-to-right square-and-multiply."""
+    if n == 0:
+        return one
+    result = x
+    for bit in bin(n)[3:]:
+        result = result * result
+        if bit == "1":
+            result = result * x
     return result
 
 
 # ---------------------------------------------------------------------------
-# conductor lifting and reduction
+# the per-conductor table, its fold, and the projections onto subfields
 # ---------------------------------------------------------------------------
 
-_LIFT_CACHE: dict[tuple[int, int], list[list[Fraction]]] = {}
+@cache
+def _cyclo_coeffs(k: int) -> tuple[int, ...]:
+    """Coefficients of Phi_k, low to high: for the least prime p | k and
+    m = k/p, Phi_k(x) is Phi_m(x^p) if p | m and Phi_m(x^p) / Phi_m(x) if not."""
+    if k == 1:
+        return (-1, 1)
+    from .polynomial import Polynomial
+    p = next(q for q in range(2, k + 1) if k % q == 0)
+    inner = _cyclo_coeffs(k // p)
+    outer = [0] * (p * len(inner) - p + 1)
+    outer[::p] = inner
+    if (k // p) % p:
+        quotient = Polynomial.from_ints(outer).exact_div(Polynomial.from_ints(inner))
+        outer = [int(c.as_fraction()) for c in quotient.coeffs]
+    return tuple(outer)
 
 
-def _lift_basis(d: int, k: int) -> list[list[Fraction]]:
-    """Images of the power basis of Q(zeta_d) inside Q(zeta_k), as columns."""
-    key = (d, k)
-    cached = _LIFT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    phi_k = list(_cyclo_coeffs(k))
-    nk, nd = euler_phi(k), euler_phi(d)
-    step = k // d
-    cols = []
-    for j in range(nd):
-        mono = [_F0] * (j * step) + [_F1]
-        _, residue = _poly_divmod(mono, phi_k)
-        cols.append(residue + [_F0] * (nk - len(residue)))
-    _LIFT_CACHE[key] = cols
-    return cols
+@cache
+def _table(k: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(phi(k), rows): rows[j] lists the nonzero (i, c) of x^j mod Phi_k, j < k."""
+    phi = _cyclo_coeffs(k)
+    n = len(phi) - 1
+    row = [1] + [0] * (n - 1)
+    rows = []
+    for _ in range(k):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        # times x, then x^n = -(phi_0 + ... + phi_(n-1) x^(n-1))
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, phi)]
+    return n, tuple(rows)
 
 
-def _lift_vec(vec: tuple[Fraction, ...], d: int, k: int) -> list[Fraction]:
-    if d == k:
-        return list(vec)
-    cols = _lift_basis(d, k)
-    out = [_F0] * euler_phi(k)
-    for j, coeff in enumerate(vec):
-        if coeff:
-            col = cols[j]
-            for i, ci in enumerate(col):
-                if ci:
-                    out[i] += coeff * ci
+def _fold(k: int, terms: list[Fraction]) -> list[Fraction]:
+    """Residue of sum_j terms[j] x^j mod Phi_k."""
+    n, rows = _table(k)
+    out = terms[:n] + [_F0] * (n - len(terms))
+    for j in range(n, len(terms)):
+        c = terms[j]
+        if c:
+            for i, t in rows[j % k]:
+                out[i] += c * t
     return out
 
 
-def _solve_rational(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """Gaussian elimination over Q; returns a solution vector or None."""
-    rows, cols = len(matrix), len(matrix[0]) if matrix else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c]:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return None
-    solution = [_F0] * cols
-    for row_idx, c in enumerate(pivots):
-        solution[c] = aug[row_idx][cols]
-    return solution
+def _product(k: int, u: Iterable[Fraction], v: Iterable[Fraction]) -> list[Fraction]:
+    vs = [(j, b) for j, b in enumerate(v) if b]
+    terms = [_F0] * (2 * _table(k)[0] - 1)
+    for i, a in enumerate(u):
+        if a:
+            for j, b in vs:
+                terms[i + j] += a * b
+    return _fold(k, terms)
 
 
-_SUBCONDUCTOR_CACHE: dict[int, list[int]] = {}
+def _spread(vec: Iterable[Fraction], k: int, step: int) -> list[Fraction]:
+    """Fold of sum_j vec[j] x^(j*step mod k): the lift from Q(zeta_(k/step))
+    for step dividing k, the conjugate sigma_step for step prime to k."""
+    terms = [_F0] * k
+    for j, c in enumerate(vec):
+        terms[j * step % k] = c
+    return _fold(k, terms)
 
 
-def _proper_subconductors(k: int) -> list[int]:
-    cached = _SUBCONDUCTOR_CACHE.get(k)
-    if cached is None:
-        cached = [d for d in range(1, k) if k % d == 0 and d % 4 != 2]
-        _SUBCONDUCTOR_CACHE[k] = cached
-    return cached
+@cache
+def _subfields(k: int) -> tuple[int, ...]:
+    """Conductors d > 1 of the maximal proper subfields of Q(zeta_k), largest
+    first: k/p for each prime p | k, halved when odd times two, since
+    Q(zeta_2m) = Q(zeta_m) for odd m.  Every smaller conductor divides one."""
+    ds = {k // p // (2 if (k // p) % 4 == 2 else 1)
+          for p in range(2, k + 1) if k % p == 0 and all(p % q for q in range(2, p))}
+    return tuple(sorted(ds - {1}, reverse=True))
+
+
+@cache
+def _projection(d: int, k: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """Sparse rows of a left inverse P of the lift Q(zeta_d) -> Q(zeta_k).
+
+    The lift L sends e_j to row j*k/d of the table.  The kernel of
+    [L^T | -I] holds the (x, y) with L^T x = y; its last phi(d) basis vectors
+    have y = e_0, e_1, ..., so their x parts are the rows of a P with P L = I.
+    """
+    from .polynomial import nullspace
+    n, rows = _table(k)
+    nd = euler_phi(d)
+    matrix = []
+    for j in range(nd):
+        line = [_ZERO] * (n + nd)
+        for i, t in rows[j * (k // d)]:
+            line[i] = rational(t)
+        line[n + j] = rational(-1)
+        matrix.append(line)
+    return tuple(tuple((i, c.as_fraction()) for i, c in enumerate(vec[:n]) if not c.is_zero())
+                 for vec in nullspace(matrix)[-nd:])
+
+
+def _minimal_form(k: int, vec: list[Fraction]) -> tuple[int, list[Fraction]]:
+    if k == 1:
+        return k, vec
+    if not any(vec[1:]):
+        return 1, vec[:1]
+    for d in _subfields(k):
+        c = [sum((vec[i] * t for i, t in row), _F0) for row in _projection(d, k)]
+        if _spread(c, k, k // d) == vec:
+            return _minimal_form(d, c)
+    return k, vec
 
 
 class FieldElement:
@@ -204,6 +185,9 @@ class FieldElement:
     __slots__ = ("conductor", "residue")
 
     def __init__(self, conductor: int, residue: Iterable[Fraction], _reduced: bool = False):
+        if _reduced:  # a full-length Fraction residue already at its minimal conductor
+            self.conductor, self.residue = conductor, tuple(residue)
+            return
         k = int(conductor)
         if k < 1:
             raise PreconditionError("conductor must be positive")
@@ -214,28 +198,8 @@ class FieldElement:
         if len(vec) > n:
             raise PreconditionError("residue longer than the field degree")
         vec += [_F0] * (n - len(vec))
-        if not _reduced:
-            k, vec = self._minimal_form(k, vec)
-        object.__setattr__(self, "conductor", k)
-        object.__setattr__(self, "residue", tuple(vec))
-
-    @staticmethod
-    def _minimal_form(k: int, vec: list[Fraction]) -> tuple[int, list[Fraction]]:
-        if k == 1:
-            return k, vec
-        if all(c == 0 for c in vec[1:]):
-            return 1, [vec[0]]
-        for d in _proper_subconductors(k):
-            if d == 1:
-                continue  # handled by the constant check above
-            cols = _lift_basis(d, k)
-            matrix = [[cols[j][i] for j in range(len(cols))] for i in range(len(vec))]
-            sol = _solve_rational(matrix, vec)
-            if sol is not None:
-                return d, sol
-        if k % 4 == 2:
-            raise PreconditionError("conductor 2 mod 4 failed to reduce")  # unreachable
-        return k, vec
+        k, vec = _minimal_form(k, vec)
+        self.conductor, self.residue = k, tuple(vec)
 
     # -- constructors -------------------------------------------------------
 
@@ -274,21 +238,25 @@ class FieldElement:
             return FieldElement(1, [Fraction(value)], _reduced=True)
         return NotImplemented  # type: ignore[return-value]
 
-    def _common(self, other: "FieldElement") -> tuple[int, list[Fraction], list[Fraction]]:
+    def _common(self, other: "FieldElement"):
+        if self.conductor == other.conductor:
+            return self.conductor, self.residue, other.residue
         k = lcm(self.conductor, other.conductor)
         if k > CONDUCTOR_CAP:
             raise ConductorCapError(
                 f"combined conductor {k} exceeds cap {CONDUCTOR_CAP}")
-        return k, _lift_vec(self.residue, self.conductor, k), _lift_vec(
-            other.residue, other.conductor, k)
+        return (k, _spread(self.residue, k, k // self.conductor),
+                _spread(other.residue, k, k // other.conductor))
+
+    def _scaled(self, c: Fraction) -> "FieldElement":
+        if not c:
+            return _ZERO
+        return FieldElement(self.conductor, [c * a for a in self.residue], _reduced=True)
 
     def __add__(self, other: Coercible) -> "FieldElement":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == other.conductor:
-            return FieldElement(self.conductor,
-                                [a + b for a, b in zip(self.residue, other.residue)])
         k, u, v = self._common(other)
         return FieldElement(k, [a + b for a, b in zip(u, v)])
 
@@ -310,25 +278,31 @@ class FieldElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.conductor == 1 and other.conductor == 1:
-            return FieldElement(1, [self.residue[0] * other.residue[0]], _reduced=True)
+        if self.conductor == 1:
+            if other.conductor == 1:
+                return FieldElement(1, [self.residue[0] * other.residue[0]], _reduced=True)
+            return other._scaled(self.residue[0])
+        if other.conductor == 1:
+            return self._scaled(other.residue[0])
         k, u, v = self._common(other)
-        prod = _poly_mul(_trim(list(u)), _trim(list(v)))
-        _, residue = _poly_divmod(prod, list(_cyclo_coeffs(k)))
-        return FieldElement(k, residue)
+        return FieldElement(k, _product(k, u, v))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("field element is zero")
-        if self.conductor == 1:
-            return FieldElement(1, [1 / self.residue[0]], _reduced=True)
-        g, s, _ = _poly_xgcd(_trim(list(self.residue)), list(_cyclo_coeffs(self.conductor)))
-        # the modulus is irreducible over Q, so g is a nonzero constant
-        inv = [c / g[0] for c in s]
-        _, residue = _poly_divmod(inv, list(_cyclo_coeffs(self.conductor)))
-        return FieldElement(self.conductor, residue)
+        k, x = self.conductor, self.residue
+        if k == 1:
+            return FieldElement(1, [1 / x[0]], _reduced=True)
+        # x * prod_{a != 1} sigma_a(x) is the norm, a nonzero rational
+        others = None
+        for a in range(2, k):
+            if gcd(a, k) == 1:
+                conj = _spread(x, k, a)
+                others = conj if others is None else _product(k, others, conj)
+        norm = _product(k, x, others)[0]
+        return FieldElement(k, [c / norm for c in others], _reduced=True)
 
     def __truediv__(self, other: Coercible) -> "FieldElement":
         other = self._coerce(other)
@@ -345,11 +319,8 @@ class FieldElement:
 
     def __pow__(self, exponent: int) -> "FieldElement":
         if exponent < 0:
-            return self.inverse() ** (-exponent)
-        if exponent <= 1:
-            return self if exponent else _ONE
-        half = self ** (exponent // 2)
-        return half * half * self if exponent % 2 else half * half
+            return _ring_pow(self.inverse(), -exponent, _ONE)
+        return _ring_pow(self, exponent, _ONE)
 
     # -- equality, ordering keys, hashing -----------------------------------
 
@@ -420,15 +391,13 @@ def zeta(k: int) -> FieldElement:
         raise ConductorCapError(f"conductor {k} exceeds cap {CONDUCTOR_CAP}")
     if k == 1:
         return _ONE
-    mono = [_F0, _F1]
-    _, residue = _poly_divmod(mono, list(_cyclo_coeffs(k)))
-    return FieldElement(k, residue)
+    return FieldElement(k, _fold(k, [_F0, _F1]))
 
 
 def cyclotomic_polynomial(k: int):
     """The k-th cyclotomic polynomial as a Polynomial over the rationals."""
     from .polynomial import Polynomial
-    return Polynomial([FieldElement.rational(c) for c in _cyclo_coeffs(k)])
+    return Polynomial.from_ints(_cyclo_coeffs(k))
 
 
 def rational(p, q=1) -> FieldElement:

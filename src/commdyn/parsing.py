@@ -4,13 +4,18 @@ Scalars combine integers, fractions written p/q, and zeta<k> tokens with
 the operators + - * / ^.  Map expressions additionally use a single
 variable letter.  The printed form of every map and scalar in this
 package parses back to an equal value.
+
+Every parse takes a degree cap, checked before each operation is built:
+an exponent above the cap, a power whose degree would pass it, and a sum,
+difference, product or quotient whose operand degrees add up past it all
+raise BudgetError.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import InputParseError
+from .errors import BudgetError, InputParseError
 from .exactfield import FieldElement, rational, zeta
 from .polynomial import Polynomial
 from .ratmap import INF, Point, RationalFunction, RationalMap
@@ -35,10 +40,15 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     """Recursive descent over rational-function values."""
 
-    def __init__(self, tokens: list[str], var: str | None):
+    def __init__(self, tokens: list[str], var: str | None, degree_cap: int):
         self.tokens = tokens
         self.pos = 0
         self.var = var
+        self.degree_cap = degree_cap
+
+    def within_cap(self, degree: int, what: str):
+        if degree > self.degree_cap:
+            raise BudgetError(f"{what} of degree {degree} exceeds cap {self.degree_cap}")
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -66,6 +76,7 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.product()
+            self.within_cap(value.degree + rhs.degree, "sum")
             value = value + rhs if op == "+" else value - rhs
         return value
 
@@ -74,6 +85,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
+            self.within_cap(value.degree + rhs.degree, "product")
             try:
                 value = value * rhs if op == "*" else value / rhs
             except ZeroDivisionError as exc:
@@ -101,6 +113,7 @@ class _Parser:
             if not tok.isdigit():
                 raise InputParseError(f"exponent must be an integer, found {tok!r}")
             e = int(tok)
+            self.within_cap(max(e, e * base.degree), "power")
             try:
                 return base ** (-e if negative else e)
             except ZeroDivisionError as exc:
@@ -132,25 +145,25 @@ def _const(c: FieldElement) -> RationalFunction:
     return RationalFunction(Polynomial.constant(c), Polynomial.one())
 
 
-def parse_function(text: str, var: str = "z") -> RationalFunction:
-    return _Parser(_tokenize(text), var).parse()
+def parse_function(text: str, var: str = "z", degree_cap: int = 5000) -> RationalFunction:
+    return _Parser(_tokenize(text), var, degree_cap).parse()
 
 
-def parse_map(text: str, var: str = "z") -> RationalMap:
+def parse_map(text: str, var: str = "z", degree_cap: int = 5000) -> RationalMap:
     """Parse a dominant self-map; constants are rejected."""
-    f = parse_function(text, var)
+    f = parse_function(text, var, degree_cap)
     if f.is_constant():
         raise InputParseError("expression is constant, not a map")
     return RationalMap.from_function(f)
 
 
-def parse_scalar(text: str) -> FieldElement:
-    f = _Parser(_tokenize(text), None).parse()
+def parse_scalar(text: str, degree_cap: int = 5000) -> FieldElement:
+    f = _Parser(_tokenize(text), None, degree_cap).parse()
     return f.num.coeff(0) / f.den.coeff(0)
 
 
-def parse_point(text: str) -> Point:
+def parse_point(text: str, degree_cap: int = 5000) -> Point:
     stripped = text.strip()
     if stripped in ("inf", "oo", "infinity"):
         return INF
-    return parse_scalar(stripped)
+    return parse_scalar(stripped, degree_cap)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .exactfield import FieldElement, rational
+from .exactfield import FieldElement, _ring_pow, rational
 
 _ZERO = FieldElement.zero()
 _ONE = FieldElement.one()
@@ -123,14 +123,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise PreconditionError("negative polynomial power")
-        result = Polynomial.one(self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _ring_pow(self, n, Polynomial.one(self.var))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
@@ -253,13 +246,6 @@ def _pseudo_rem(a: list, b: list) -> list:
             r = [lb * ri for ri in r]
         _seq_trim(r)
     return r
-
-
-def _ring_pow(x, n: int, one):
-    result = one
-    for _ in range(n):
-        result = result * x
-    return result
 
 
 def _subresultant_last(a: list, b: list, one) -> list:

@@ -7,7 +7,7 @@ import pytest
 
 from commdyn import cli
 from commdyn.cli import RunConfig, emit_report, load_config, main
-from commdyn.errors import PreconditionError
+from commdyn.errors import BudgetError, PreconditionError
 from commdyn.golden import GOLDEN_CHECKS, GoldenCheck, run_golden_suite
 from commdyn.parsing import parse_map
 
@@ -103,6 +103,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "exp", "lyapunov", "z + 1")
         assert code == 4
         assert "precondition" in err
+
+    def test_parser_caps_degree_before_building(self):
+        with pytest.raises(BudgetError):
+            parse_map("z^5001")
+        with pytest.raises(BudgetError):
+            parse_map("z^3*z^3*z^3", degree_cap=8)
+        with pytest.raises(BudgetError):
+            parse_map("(z^2 + 1)^5", degree_cap=8)
+        assert parse_map("z^3*z^3", degree_cap=8).degree == 6
 
     def test_conductor_gate(self, capsys):
         code, _, err = run_cli(capsys, "per", "poly", "zeta32*z^2", "1",
@@ -224,6 +233,7 @@ class TestOneValidationPoint:
         (["--format", "structured", "gen", "chebyshev", "3"], 0),
         (["exp", "probe", "z^2", "--nmax", "0"], 4),
         (["ritt", "seq", "z^2", "z^2", "--min-steps", "-1"], 4),
+        (["--degree-cap", "8", "per", "poly", "z^3*z^3*z^3", "1"], 3),
     ])
     def test_documented_exit_code(self, capsys, argv, code):
         got, out, err = run_cli(capsys, *argv)

@@ -1,6 +1,7 @@
 """Field arithmetic checks, with sympy as an independent oracle where it helps."""
 
 import cmath
+import random
 from fractions import Fraction
 
 import pytest
@@ -114,9 +115,11 @@ def elements(conductor):
         lambda v: FieldElement(conductor, v))
 
 
+@pytest.mark.parametrize("k", [3, 12, 21])
 @settings(max_examples=60, deadline=None)
-@given(a=elements(12), b=elements(12), c=elements(12))
-def test_field_axioms(a, b, c):
+@given(data=st.data())
+def test_field_axioms(k, data):
+    a, b, c = (data.draw(elements(k)) for _ in range(3))
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a - b) + b == a
@@ -133,9 +136,41 @@ def test_embedding_is_a_homomorphism(a):
     assert abs(lhs - rhs) < 1e-9
 
 
+@pytest.mark.parametrize("k", [3, 9, 12, 21])
 @settings(max_examples=40, deadline=None)
-@given(a=elements(9))
-def test_hash_consistent_with_equality(a):
-    twin = FieldElement(9, [Fraction(c) for c in a.residue]) if a.conductor == 9 else a + 0
+@given(data=st.data())
+def test_hash_consistent_with_equality(k, data):
+    a = data.draw(elements(k))
+    twin = FieldElement(k, [Fraction(c) for c in a.residue]) if a.conductor == k else a + 0
     assert twin == a
     assert hash(twin) == hash(a)
+
+
+@pytest.mark.parametrize("k", [3, 12, 21, 42])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_inverse_times_element_is_one(k, data):
+    a = data.draw(elements(k))
+    if not a.is_zero():
+        assert a * a.inverse() == 1
+        assert a.inverse().conductor == a.conductor
+
+
+@pytest.mark.parametrize("d, k", [(3, 12), (4, 12), (5, 15), (3, 21), (7, 21),
+                                  (8, 24), (12, 24), (5, 40)])
+def test_minimal_conductor_matches_sympy(d, k):
+    # a seeded element of Q(zeta_d), written in the zeta_k basis by sympy
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(100 * d + k)
+    coeffs = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+              for _ in range(euler_phi(d))]
+    phi_k = sympy.cyclotomic_poly(k, x)
+    lifted = sum(sympy.Rational(c.numerator, c.denominator)
+                 * sympy.rem(x ** (j * k // d), phi_k, x)
+                 for j, c in enumerate(coeffs))
+    residue = [Fraction(str(c)) for c in sympy.Poly(lifted, x).all_coeffs()[::-1]]
+    element = FieldElement(k, residue)
+    assert element.conductor == d
+    assert element == FieldElement(d, coeffs)

@@ -214,3 +214,10 @@ def test_sparse_evaluate_and_power_match_repeated_multiplication():
             expected = sum((c * powers[i] for i, c in enumerate(coeffs)),
                            rational(0))
             assert Polynomial(coeffs).evaluate(x) == expected
+    # Polynomial powers n = 0..9, sparse and dense, against repeated products
+    for p in (Polynomial([rational(2), rational(0), rational(0), rational(-1)]),
+              Polynomial([zeta(3), rational(-1, 2), rational(3), zeta(12)])):
+        expected = Polynomial.one()
+        for n in range(10):
+            assert p ** n == expected
+            expected = expected * p
