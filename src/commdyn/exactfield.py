@@ -253,12 +253,24 @@ class FieldElement:
             return _ZERO
         return FieldElement(self.conductor, [c * a for a in self.residue], _reduced=True)
 
+    def _shifted(self, c: Fraction) -> "FieldElement":
+        # x + c lies in a subfield exactly when x does, so the conductor stays
+        return FieldElement(self.conductor, (self.residue[0] + c,) + self.residue[1:],
+                            _reduced=True)
+
     def __add__(self, other: Coercible) -> "FieldElement":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.conductor == 1:
+            if other.conductor == 1:
+                return FieldElement(1, (self.residue[0] + other.residue[0],), _reduced=True)
+            return other._shifted(self.residue[0])
+        if other.conductor == 1:
+            return self._shifted(other.residue[0])
         k, u, v = self._common(other)
-        return FieldElement(k, [a + b for a, b in zip(u, v)])
+        k, vec = _minimal_form(k, [a + b for a, b in zip(u, v)])
+        return FieldElement(k, vec, _reduced=True)
 
     __radd__ = __add__
 

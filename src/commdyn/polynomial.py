@@ -2,6 +2,18 @@
 
 The pieces that everything else leans on:
 
+* the univariate product, done as one big-integer product (Kronecker
+  substitution): both operands are written in Q(zeta_k), k the lcm of
+  their conductors, cleared to one integer denominator each, and packed
+  into integers with one slot per coordinate; one multiplication, a
+  signed unpacking and a fold through the conductor's table give the
+  coefficients (Kronecker 1882; Harvey, "Faster polynomial multiplication
+  via multipoint Kronecker substitution", J. Symb. Comput. 44, 2009;
+  von zur Gathen and Gerhard, *Modern Computer Algebra*, section 8.4).
+  The pairwise loop over nonzero terms stays for sparse operands, where
+  there are no more term pairs than output coefficients, and for a joint
+  conductor beyond the cap, so that the cap error is raised by the term
+  pair that crosses it;
 * subresultant pseudo-remainder sequences, written once and reused for
   univariate gcd, bivariate gcd (coefficients are themselves polynomials),
   and resultant-style elimination of a shared variable;
@@ -16,10 +28,20 @@ returned curve carries no multiplicity information.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError
-from .exactfield import FieldElement, _ring_pow, rational
+from .exactfield import (
+    CONDUCTOR_CAP,
+    FieldElement,
+    _minimal_form,
+    _ring_pow,
+    _spread,
+    _table,
+    rational,
+)
 
 _ZERO = FieldElement.zero()
 _ONE = FieldElement.one()
@@ -108,13 +130,15 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial.zero(self.var)
+        k = lcm(*(c.conductor for c in a), *(c.conductor for c in b))
+        terms = [(i, c) for i, c in enumerate(a) if not c.is_zero()]
+        others = [(j, c) for j, c in enumerate(b) if not c.is_zero()]
+        if k <= CONDUCTOR_CAP and len(terms) * len(others) > len(a) + len(b) - 1:
+            return Polynomial(_packed_product(k, a, b), self.var)
         out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai.is_zero():
-                continue
-            for j, bj in enumerate(b):
-                if not bj.is_zero():
-                    out[i + j] = out[i + j] + ai * bj
+        for i, ai in terms:
+            for j, bj in others:
+                out[i + j] = out[i + j] + ai * bj
         return Polynomial(out, self.var)
 
     def scale(self, c: FieldElement) -> "Polynomial":
@@ -215,6 +239,83 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+# ---------------------------------------------------------------------------
+# packed products (Kronecker substitution)
+# ---------------------------------------------------------------------------
+
+def _integer_slots(cs: Sequence[FieldElement], k: int, n: int, width: int):
+    """(den, ints): the coordinates of cs in Q(zeta_k) times their common
+    denominator den, coefficient i at slots i*width .. i*width + n - 1."""
+    pad = (Fraction(0),) * (n - 1)
+    vecs = [c.residue if c.conductor == k
+            else c.residue + pad if c.conductor == 1
+            else _spread(c.residue, k, k // c.conductor) for c in cs]
+    den = lcm(*(x.denominator for vec in vecs for x in vec))
+    gap = [0] * (width - n)
+    ints: list[int] = []
+    for vec in vecs:
+        ints += [x.numerator * (den // x.denominator) for x in vec]
+        ints += gap
+    return den, ints
+
+
+def _offsets(count: int, size: int) -> tuple[int, int]:
+    """(half, the integer with half in each of count slots of size bytes)."""
+    half = 1 << (8 * size - 1)
+    return half, int.from_bytes(half.to_bytes(size, "little") * count, "little")
+
+
+def _pack(ints: list[int], size: int) -> int:
+    """sum ints[s] * 2^(8*size*s), for |ints[s]| below half a slot."""
+    half, offsets = _offsets(len(ints), size)
+    raw = b"".join((v + half).to_bytes(size, "little") for v in ints)
+    return int.from_bytes(raw, "little") - offsets
+
+
+def _unpack(value: int, count: int, size: int) -> list[int]:
+    """The signed slots of _pack.  Adding half to every slot first makes each
+    slot nonnegative, so no slot borrows from the one above it."""
+    half, offsets = _offsets(count, size)
+    raw = (value + offsets).to_bytes(count * size, "little")
+    return [int.from_bytes(raw[s:s + size], "little") - half
+            for s in range(0, count * size, size)]
+
+
+def _packed_product(k: int, a: Sequence[FieldElement],
+                    b: Sequence[FieldElement]) -> list[FieldElement]:
+    """Coefficients of a*b from one integer product, for k = lcm of their conductors.
+
+    Coordinate j of coefficient i sits at slot i*(2n - 1) + j, n = phi(k),
+    so the product's coordinate j + j' of coefficient i + i' lands in a slot
+    of its own.  A slot holds at most min(len a, len b) * n products of
+    entries, which bounds its size; coordinates from n up fold back through
+    the rows of the conductor's table.
+    """
+    n, rows = _table(k)
+    width = 2 * n - 1
+    den_a, xs = _integer_slots(a, k, n, width)
+    den_b, ys = _integer_slots(b, k, n, width)
+    bound = max(map(abs, xs)) * max(map(abs, ys)) * min(len(a), len(b)) * n
+    size = (bound.bit_length() + 8) // 8  # and a sign bit
+    count = (len(a) + len(b) - 1) * width
+    slots = _unpack(_pack(xs, size) * _pack(ys, size), count, size)
+    den = den_a * den_b
+    out = []
+    for start in range(0, count, width):
+        vec = slots[start:start + n]
+        for t in range(n, width):
+            c = slots[start + t]
+            if c:
+                for i, r in rows[t % k]:
+                    vec[i] += c * r
+        if not any(vec):
+            out.append(_ZERO)
+            continue
+        m, residue = _minimal_form(k, [Fraction(v, den) for v in vec])
+        out.append(FieldElement(m, residue, _reduced=True))
+    return out
 
 
 # ---------------------------------------------------------------------------

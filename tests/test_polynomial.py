@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from commdyn.errors import PreconditionError
-from commdyn.exactfield import FieldElement, rational, zeta
+from commdyn.errors import ConductorCapError, PreconditionError
+from commdyn.exactfield import FieldElement, euler_phi, rational, zeta
 from commdyn.polynomial import (
     BiPolynomial,
     Polynomial,
@@ -221,3 +221,154 @@ def test_sparse_evaluate_and_power_match_repeated_multiplication():
         for n in range(10):
             assert p ** n == expected
             expected = expected * p
+
+
+# ---------------------------------------------------------------------------
+# the packed product against the term-by-term product and against sympy
+# ---------------------------------------------------------------------------
+
+def _schoolbook(a, b):
+    """a*b one pair of terms at a time: the oracle for the packed product."""
+    out = [rational(0)] * max(0, len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return Polynomial(out)
+
+
+def _assert_product_matches(a, b):
+    got, want = a * b, _schoolbook(a, b)
+    assert got.coeffs == want.coeffs
+    assert [c.conductor for c in got.coeffs] == [c.conductor for c in want.coeffs]
+    assert hash(got) == hash(want)
+
+
+def _element(rng, k, bits=4, sign=None):
+    """A seeded element of Q(zeta_k); sign -1 or 1 fixes the sign of every entry."""
+    def entry():
+        n = rng.randint(1, 1 << bits)
+        n = n * sign if sign else rng.choice((-1, 0, 1)) * n
+        return Fraction(n, rng.choice((1, 1, 2, 3, 5)))
+    return FieldElement(k, [entry() for _ in range(euler_phi(k))])
+
+
+def _dense(rng, k, degree, **kw):
+    coeffs = [_element(rng, k, **kw) for _ in range(degree + 1)]
+    while coeffs[-1].is_zero():
+        coeffs[-1] = _element(rng, k, **kw)
+    return Polynomial(coeffs)
+
+
+@pytest.mark.parametrize("k", [1, 3, 4, 12, 21])
+def test_packed_product_matches_schoolbook(k):
+    rng = random.Random(600 + k)
+    for _ in range(12):
+        _assert_product_matches(_dense(rng, k, rng.randint(0, 9)),
+                                _dense(rng, k, rng.randint(0, 9)))
+    # numerators of 2^200 and more
+    _assert_product_matches(_dense(rng, k, 5, bits=210), _dense(rng, k, 4, bits=230))
+    # negative entries in every slot, times mixed and times positive entries
+    negative = _dense(rng, k, 6, sign=-1)
+    _assert_product_matches(negative, _dense(rng, k, 5))
+    _assert_product_matches(negative, _dense(rng, k, 3, sign=1))
+    _assert_product_matches(negative, negative)
+    # zero and constant operands
+    for other in (Polynomial.zero(), Polynomial.one(), Polynomial([_element(rng, k)])):
+        _assert_product_matches(negative, other)
+        _assert_product_matches(other, negative)
+    big = 64 if k <= 3 else 16
+    _assert_product_matches(_dense(rng, k, big), _dense(rng, k, big))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_packed_product_at_its_size_bound(k):
+    # every entry at one extreme, so the middle slot of the product holds
+    # exactly min(len a, len b) * phi(k) products of the largest entries;
+    # that bound, 64 * phi(k) * top^2, has 96 bits, a whole number of bytes,
+    # so the slot needs its sign bit as well
+    top = {1: (1 << 45) - 1, 3: (1 << 44) + 1}[k]
+    assert (64 * euler_phi(k) * top ** 2).bit_length() == 96
+    for sign in (1, -1):
+        a = Polynomial([FieldElement(k, [sign * top] * euler_phi(k))] * 64)
+        b = Polynomial([FieldElement(k, [top] * euler_phi(k))] * 64)
+        _assert_product_matches(a, b)
+
+
+def test_packed_product_mixed_conductors_and_subfields():
+    rng = random.Random(31)
+    for ka, kb in ((1, 3), (3, 4), (4, 12), (3, 21)):
+        for _ in range(6):
+            _assert_product_matches(_dense(rng, ka, rng.randint(1, 7)),
+                                    _dense(rng, kb, rng.randint(1, 7)))
+    # conductors mixed inside one polynomial
+    mixed = Polynomial([rational(2), zeta(3), zeta(4) - 1, rational(-1, 3), zeta(12)])
+    _assert_product_matches(mixed, mixed)
+    _assert_product_matches(mixed, _dense(rng, 3, 4))
+    # products that fall back into a subfield
+    z12 = zeta(12)
+    for u, v in ((z12, z12 ** 11), (z12, z12 ** 5), (zeta(3), zeta(3) ** 2),
+                 (z12, -z12)):
+        a, b = Polynomial([u, rational(1)]), Polynomial([v, rational(1)])
+        _assert_product_matches(a, b)
+    product = Polynomial([zeta(3), rational(1)]) * Polynomial([zeta(3) ** 2, rational(1)])
+    assert [c.conductor for c in product.coeffs] == [1, 1, 1]
+    product = Polynomial([z12, rational(1)]) * Polynomial([z12 ** 5, rational(1)])
+    assert [c.conductor for c in product.coeffs] == [1, 4, 1]
+
+
+def test_packed_product_sparse_twists():
+    # z^13 and its zeta12 twists, the chains of the twisted power maps
+    z13 = Polynomial.variable() ** 13
+    for j in (1, 5, 7):
+        twist = Polynomial([rational(0)] * 13 + [zeta(12) ** j])
+        _assert_product_matches(z13, twist)
+        _assert_product_matches(twist, twist)
+        _assert_product_matches(twist + Polynomial([rational(1)]), z13 + twist)
+    rng = random.Random(5)
+    sparse = Polynomial([rational(0)] * 20 + [zeta(12) ** 5] + [rational(0)] * 20 + [rational(3)])
+    _assert_product_matches(sparse, _dense(rng, 12, 6))
+
+
+def test_packed_product_conductor_cap():
+    a = Polynomial([zeta(5), zeta(16)])
+    assert a * Polynomial.one() == a
+    assert Polynomial.one() * a == a
+    with pytest.raises(ConductorCapError):
+        Polynomial([zeta(5), rational(1)]) * Polynomial([zeta(16), rational(1)])
+
+
+def _lift(c, k):
+    """The residue of c in the zeta_k basis, by sympy from its own residue."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    d = c.conductor
+    lifted = sum(sympy.Rational(r.numerator, r.denominator) * x ** (j * (k // d))
+                 for j, r in enumerate(c.residue))
+    phi = sympy.cyclotomic_poly(k, x)
+    rem = sympy.Poly(sympy.rem(sympy.expand(lifted), phi, x), x)
+    return [Fraction(str(rem.coeff_monomial(x ** j))) for j in range(euler_phi(k))]
+
+
+@pytest.mark.parametrize("k", [3, 12, 21])
+def test_packed_product_matches_sympy(k):
+    import sympy
+
+    x, z = sympy.symbols("x z")
+    phi = sympy.cyclotomic_poly(k, x)
+    rng = random.Random(900 + k)
+
+    def as_sympy(p):
+        return sum(sympy.Rational(r.numerator, r.denominator) * x ** j * z ** i
+                   for i, c in enumerate(p.coeffs) for j, r in enumerate(_lift(c, k)))
+
+    for _ in range(4):
+        a, b = _dense(rng, k, rng.randint(1, 5)), _dense(rng, k, rng.randint(1, 5))
+        product = sympy.Poly(sympy.rem(sympy.expand(as_sympy(a) * as_sympy(b)), phi, x), z, x)
+        got = a * b
+        assert got.degree == a.degree + b.degree
+        for i, c in enumerate(got.coeffs):
+            residue = [Fraction(str(product.coeff_monomial(z ** i * x ** j)))
+                       for j in range(euler_phi(k))]
+            assert c == FieldElement(k, residue)
+

@@ -2,6 +2,7 @@
 
 import random
 from itertools import islice
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from commdyn.ratmap import (
     agree,
     is_inf,
     mobius_three_points,
+    point_sort_key,
     random_mobius,
     sample_points,
 )
@@ -215,8 +217,24 @@ def _gcd_reduced_compose(f: RationalMap, g: RationalMap) -> RationalMap:
                        _homogeneous_eval(f.den, g.num, g.den, h))
 
 
+def _pointwise_agree(lhs, rhs):
+    """Oracle for agree: two maps of degree D that agree at 2D + 1 points are
+    equal, since num1*den2 - num2*den1 has degree at most 2D; an infinity
+    hit is a point where both denominators vanish."""
+    deg = prod(m.degree for m in lhs)
+    if deg != prod(m.degree for m in rhs):
+        return False
+
+    def at(chain, pt):
+        for m in reversed(chain):
+            pt = m(pt)
+        return point_sort_key(pt)
+
+    return all(at(lhs, pt) == at(rhs, pt) for pt in islice(sample_points(), 2 * deg + 1))
+
+
 @pytest.mark.parametrize("k", [1, 3])
-def test_compose_matches_gcd_reduced_oracle(monkeypatch, k):
+def test_compose_matches_gcd_reduced_oracle(k):
     rng = random.Random(20 + k)
     fixed = [parse_map("1/z"), parse_map("3/(z^2 - 1)"),
              parse_map("(z^2 + 1)/(2*z)").conjugate(random_mobius(5)),
@@ -230,13 +248,11 @@ def test_compose_matches_gcd_reduced_oracle(monkeypatch, k):
         assert composite == _gcd_reduced_compose(f, g)
         assert composite.degree == f.degree * g.degree
         assert gcd_univariate(composite.num, composite.den).degree == 0
-        # agree matches the materialized == on both of its branches
+        # agree matches the materialized == and the pointwise oracle
         swapped = g.compose(f)
-        for cap in (256, 0):
-            monkeypatch.setattr(commdyn.ratmap, "_MATERIALIZE_CAP", cap)
-            assert agree([f, g], [g, f]) == (composite == swapped)
-            assert agree([f, g], [composite])
-        monkeypatch.undo()
+        assert agree([f, g], [g, f]) == (composite == swapped) == _pointwise_agree(
+            [f, g], [g, f])
+        assert agree([f, g], [composite]) and _pointwise_agree([f, g], [composite])
 
 
 def test_composition_runs_no_gcd(monkeypatch):
@@ -271,16 +287,19 @@ def test_agree_unequal_degree_products(monkeypatch):
     assert not agree([square, cube], [parse_map("z^5")])
 
 
-@pytest.mark.parametrize("cap", [256, 0])
-def test_agree_branches(monkeypatch, cap):
-    monkeypatch.setattr(commdyn.ratmap, "_MATERIALIZE_CAP", cap)
+def test_agree_matches_pointwise_oracle():
     square, shift, inversion = parse_map("z^2"), parse_map("z + 1"), parse_map("1/z")
-    assert not agree([square, shift], [shift, square])
-    # 0 and infinity are swapped by the inversion, so sample points hit poles
-    assert agree([square, inversion], [inversion, square])
-    assert agree([chebyshev(2), chebyshev(3)], [chebyshev(6)])
-    assert agree([square] * 3, [parse_map("z^8")])
-    assert not agree([square] * 3, [parse_map("z^8 + 1")])
+    cases = [
+        ([square, shift], [shift, square], False),
+        # 0 and infinity are swapped by the inversion, so sample points hit poles
+        ([square, inversion], [inversion, square], True),
+        ([chebyshev(2), chebyshev(3)], [chebyshev(6)], True),
+        ([square] * 3, [parse_map("z^8")], True),
+        ([square] * 3, [parse_map("z^8 + 1")], False),
+    ]
+    for lhs, rhs, expected in cases:
+        assert agree(lhs, rhs) == expected
+        assert _pointwise_agree(lhs, rhs) == expected
 
 
 def test_multiplier_identity_twisted_power_map():
