@@ -287,7 +287,17 @@ def test_agree_unequal_degree_products(monkeypatch):
     assert not agree([square, cube], [parse_map("z^5")])
 
 
-def test_agree_matches_pointwise_oracle():
+def _composed(chain):
+    out = chain[-1]
+    for m in reversed(chain[:-1]):
+        out = m.compose(out)
+    return out
+
+
+@pytest.mark.parametrize("cap", [256, 0])
+def test_agree_branches(cap):
+    """agree against both branches it used to choose between: up to degree
+    cap the composed chains compared with ==, above it the pointwise oracle."""
     square, shift, inversion = parse_map("z^2"), parse_map("z + 1"), parse_map("1/z")
     cases = [
         ([square, shift], [shift, square], False),
@@ -299,7 +309,10 @@ def test_agree_matches_pointwise_oracle():
     ]
     for lhs, rhs, expected in cases:
         assert agree(lhs, rhs) == expected
-        assert _pointwise_agree(lhs, rhs) == expected
+        if prod(m.degree for m in lhs) <= cap:
+            assert (_composed(lhs) == _composed(rhs)) == expected
+        else:
+            assert _pointwise_agree(lhs, rhs) == expected
 
 
 def test_multiplier_identity_twisted_power_map():
