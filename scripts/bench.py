@@ -5,8 +5,10 @@
 
 Run from the root of a source checkout; commdyn is imported from src/.
 The file records the machine, the line count of src/commdyn, the wall
-time of `commdyn golden`, acceptance criteria 02, 06 and 11, the layer
-table of perfbench/micro.py, Polynomial products by degree and conductor,
+time of `commdyn golden`, acceptance criteria 02, 06, 10 and 11, the
+layer table of perfbench/micro.py, Polynomial products by degree and
+conductor, the numeric layer (Lyapunov estimates at depth 24 and breadth
+128 on T_3 and a Lattes map, cycle exponents of z^2 - 1 up to period 4),
 and a fixed pure-Python reference loop, timed before and after the rest,
 so that a slower machine can be told from a slower program.  Every
 timing is the minimum over a few repeats; the host's speed drifts, so
@@ -30,6 +32,7 @@ SRC = os.path.join(ROOT, "src")
 
 CRITERIA = ("test_criterion_02_commutation_and_common_iterate",
             "test_criterion_06_multiplier_divisibility",
+            "test_criterion_10_exponent_probes",
             "test_criterion_11_interleaved_identity")
 
 
@@ -107,6 +110,22 @@ def _polynomial_products() -> dict:
     return out
 
 
+def _numeric() -> dict:
+    import commdyn as cd
+
+    t3 = cd.chebyshev(3)
+    lattes = cd.lattes_flexible(2, cd.rational(0), cd.rational(1))
+    basilica = cd.parse_map("z^2 - 1")
+    return {
+        "lyapunov_estimate.T3.d24.b128.s": _best(
+            lambda: cd.lyapunov_estimate(t3, depth=24, breadth=128), 1, 3),
+        "lyapunov_estimate.lattes_0_1.d24.b128.s": _best(
+            lambda: cd.lyapunov_estimate(lattes, depth=24, breadth=128), 1, 3),
+        "characteristic_exponents.z2_minus_1.n4.s": _best(
+            lambda: cd.characteristic_exponents(basilica, 4), 1, 3),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="the JSON file to write, BENCH_<n>.json")
@@ -120,6 +139,7 @@ def main(argv=None) -> int:
     report["micro"] = {name: {"value": value, "unit": unit}
                        for name, (value, unit) in micro.run().items()}
     report["polynomial_mul"] = _polynomial_products()
+    report["numeric"] = _numeric()
     report["reference_loop_s"].append(_reference_loop())
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -6,7 +6,10 @@ t ranges over the line.  Composition, iteration, and orbit closures are
 computed on the defining curves themselves, by resultant elimination, so
 every answer is exact.  A numeric companion (`point_orbit`) follows a
 single starting point with floating-point root extraction and serves as a
-cross-check on the algebraic closure.
+cross-check on the algebraic closure.  Its fibers and images, and those of
+the exponent probes, come from one float view of a map (`_FloatView`):
+the complex coefficients are computed once per map, and one rule puts a
+preimage at infinity whenever a fiber drops degree.
 """
 
 from dataclasses import dataclass
@@ -160,23 +163,47 @@ def _np_roots(coeffs_low_to_high: list[complex]) -> list[complex]:
 _BIG = 1e9
 
 
-def _numeric_eval(f: RationalMap, z: complex):
-    """Evaluate at a complex point; None encodes the point at infinity."""
-    num = f.num.complex_coeffs()
-    den = f.den.complex_coeffs()
-    if z is None:
+class _FloatView:
+    """A rational map in floating point, built once and reused per point.
+
+    num and den are the complex coefficients, low to high, both padded to
+    degree + 1, so a fiber num - value * den lines up term by term.
+    """
+
+    def __init__(self, f: RationalMap):
+        self.degree = f.degree
+        width = f.degree + 1
+        num, den = f.num.complex_coeffs(), f.den.complex_coeffs()
+        self.num = num + [0.0j] * (width - len(num))
+        self.den = den + [0.0j] * (width - len(den))
         dn, dd = f.num.degree, f.den.degree
-        if dn > dd:
+        self._at_infinity = (None if dn > dd else 0.0j if dn < dd
+                             else num[-1] / den[-1])
+
+    def preimages(self, value):
+        """The fiber over value (None is infinity), as roots of num - value * den.
+
+        A dropped degree means that one preimage branch sits at infinity.
+        """
+        if value is None:
+            fiber = self.den
+        else:
+            fiber = [a - value * b for a, b in zip(self.num, self.den)]
+        roots = _np_roots(fiber)
+        if len(roots) < self.degree:
+            roots.append(None)
+        return roots
+
+    def image(self, z):
+        """Evaluate at a complex point; None encodes the point at infinity."""
+        if z is None:
+            return self._at_infinity
+        nv = np.polyval(self.num[::-1], z)
+        dv = np.polyval(self.den[::-1], z)
+        if abs(dv) < 1e-13 * max(1.0, abs(nv)):
             return None
-        if dn < dd:
-            return 0.0 + 0.0j
-        return num[-1] / den[-1]
-    nv = np.polyval(num[::-1], z)
-    dv = np.polyval(den[::-1], z)
-    if abs(dv) < 1e-13 * max(1.0, abs(nv)):
-        return None
-    val = nv / dv
-    return None if abs(val) > _BIG else val
+        val = nv / dv
+        return None if abs(val) > _BIG else val
 
 
 def _chordal(p, q) -> float:
@@ -199,25 +226,12 @@ def point_orbit(c: Correspondence, z0: complex, budget: int = 64,
     if the point count passes the budget while still growing.
     """
     points = [complex(z0) if z0 is not None else None]
-    a_num = c.a.num.complex_coeffs()
-    a_den = c.a.den.complex_coeffs()
+    a, b = _FloatView(c.a), _FloatView(c.b)
     while True:
         added = False
         for pt in list(points):
-            if pt is None:
-                fiber_poly = list(a_den)
-            else:
-                width = max(len(a_num), len(a_den))
-                fiber_poly = [
-                    (a_num[i] if i < len(a_num) else 0.0)
-                    - pt * (a_den[i] if i < len(a_den) else 0.0)
-                    for i in range(width)]
-            roots = _np_roots(fiber_poly)
-            # a dropped degree: one of the fiber points escaped to infinity
-            if len(roots) < c.a.degree:
-                roots.append(None)
-            for root in roots:
-                image = _numeric_eval(c.b, root)
+            for root in a.preimages(pt):
+                image = b.image(root)
                 if all(_chordal(image, known) > tol for known in points):
                     points.append(image)
                     added = True

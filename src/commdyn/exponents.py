@@ -6,7 +6,10 @@ starting point back through the map, keeping a bounded random sample of
 preimage branches per level; cycle data comes from numeric roots of the
 exact periodic polynomials.  Derivative sizes are always measured in the
 round metric on the sphere, which is finite at poles and at infinity and
-telescopes exactly around a cycle.
+telescopes exactly around a cycle.  The error bar of a Lyapunov estimate
+is the closed-form standard error of a mean, sigma / sqrt(n) with the
+divisor-n deviation: the limit of a bootstrap as its resamples grow
+(Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 5).
 """
 
 import math
@@ -16,14 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .correspondence import _chordal, _np_roots, _numeric_eval
+from .correspondence import _chordal, _FloatView, _np_roots
 from .errors import PreconditionError
 from .periodic import exact_period_polynomial
 from .ratmap import RationalMap
-
-
-def _pad(coeffs: list[complex], width: int) -> list[complex]:
-    return list(coeffs) + [0.0j] * (width - len(coeffs))
 
 
 def _derivative(asc: list[complex]) -> list[complex]:
@@ -44,10 +43,8 @@ class _SphericalNorm:
     coefficients simply reverse.
     """
 
-    def __init__(self, f: RationalMap):
-        width = f.degree + 1
-        p = _pad(f.num.complex_coeffs(), width)
-        q = _pad(f.den.complex_coeffs(), width)
+    def __init__(self, view: _FloatView):
+        p, q = view.num, view.den
         self._direct = (p, q, self._wronskian(p, q))
         rp, rq = q[::-1], p[::-1]
         self._inverted = (rp, rq, self._wronskian(rp, rq))
@@ -79,7 +76,7 @@ def spherical_derivative_norm(f: RationalMap, z: Optional[complex]) -> float:
 
     z may be any complex number or None for the point at infinity.
     """
-    return _SphericalNorm(f).value(None if z is None else complex(z))
+    return _SphericalNorm(_FloatView(f)).value(None if z is None else complex(z))
 
 
 @dataclass(frozen=True)
@@ -100,17 +97,16 @@ def lyapunov_estimate(f: RationalMap, depth: int = 24, breadth: int = 256,
     derivative norms over the late preimage clouds approximates the
     exponent.  Each level keeps at most `breadth` randomly chosen
     branches; the first half of the levels is discarded as burn-in.  The
-    standard error is a bootstrap over the retained samples.
+    standard error is the ideal bootstrap error of the mean of the
+    retained samples, sqrt(sum (s - mean)^2 / n) / sqrt(n) (Efron and
+    Tibshirani 1993, ch. 5).  It ignores the correlation between samples
+    of one cloud, so, like the estimate itself, it is a heuristic.
     """
     if f.degree < 2:
         raise PreconditionError("degree at least two is required")
     rng = random.Random(seed)
-    norm = _SphericalNorm(f)
-    num = f.num.complex_coeffs()
-    den = f.den.complex_coeffs()
-    width = max(len(num), len(den))
-    num = _pad(num, width)
-    den = _pad(den, width)
+    view = _FloatView(f)
+    norm = _SphericalNorm(view)
     cloud: list[Optional[complex]] = [
         complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))]
     burn_in = depth // 2
@@ -118,30 +114,17 @@ def lyapunov_estimate(f: RationalMap, depth: int = 24, breadth: int = 256,
     for level in range(1, depth + 1):
         pool: list[Optional[complex]] = []
         for pt in cloud:
-            if pt is None:
-                fiber = list(den)
-            else:
-                fiber = [a - pt * b for a, b in zip(num, den)]
-            roots = _np_roots(fiber)
-            # degree drop means one preimage branch sits at infinity
-            if len(roots) < f.degree:
-                roots.append(None)
-            pool.extend(roots)
+            pool.extend(view.preimages(pt))
         cloud = rng.sample(pool, breadth) if len(pool) > breadth else pool
         if level > burn_in:
             for pt in cloud:
                 v = norm.value(pt)
                 if v > 1e-100:
                     samples.append(math.log(v))
-    mean = math.fsum(samples) / len(samples)
-    resample_means = []
-    for _ in range(200):
-        picks = [samples[rng.randrange(len(samples))] for _ in samples]
-        resample_means.append(math.fsum(picks) / len(picks))
-    centre = math.fsum(resample_means) / len(resample_means)
-    variance = math.fsum((m - centre) ** 2 for m in resample_means) / len(
-        resample_means)
-    return LyapunovEstimate(value=mean, std_error=math.sqrt(variance),
+    n = len(samples)
+    mean = math.fsum(samples) / n
+    spread = math.sqrt(math.fsum((s - mean) ** 2 for s in samples) / n)
+    return LyapunovEstimate(value=mean, std_error=spread / math.sqrt(n),
                             depth=depth, breadth=breadth, seed=seed)
 
 
@@ -164,7 +147,8 @@ _MATCH_TOL = 1e-5
 
 
 def _cycle_survey(f: RationalMap, n_max: int) -> tuple[list[CycleReport], int]:
-    norm = _SphericalNorm(f)
+    view = _FloatView(f)
+    norm = _SphericalNorm(view)
     reports: list[CycleReport] = []
     skipped = 0
     for n in range(1, n_max + 1):
@@ -177,9 +161,9 @@ def _cycle_survey(f: RationalMap, n_max: int) -> tuple[list[CycleReport], int]:
             orbit = [z0]
             cur = z0
             for _ in range(n - 1):
-                cur = _numeric_eval(f, cur)
+                cur = view.image(cur)
                 orbit.append(cur)
-            if _chordal(_numeric_eval(f, orbit[-1]), z0) > _MATCH_TOL:
+            if _chordal(view.image(orbit[-1]), z0) > _MATCH_TOL:
                 skipped += 1
                 continue
             # pull the cycle mates out of the pool so each cycle reports once

@@ -13,7 +13,8 @@ The pieces that everything else leans on:
   The pairwise loop over nonzero terms stays for sparse operands, where
   there are no more term pairs than output coefficients, and for a joint
   conductor beyond the cap, so that the cap error is raised by the term
-  pair that crosses it;
+  pair that crosses it.  A bivariate product is one such univariate
+  product, with var2 -> var1^w for w the product's width in var2;
 * subresultant pseudo-remainder sequences, written once and reused for
   univariate gcd, bivariate gcd (coefficients are themselves polynomials),
   and resultant-style elimination of a shared variable;
@@ -36,6 +37,7 @@ from .errors import PreconditionError
 from .exactfield import (
     CONDUCTOR_CAP,
     FieldElement,
+    _fold,
     _minimal_form,
     _ring_pow,
     _spread,
@@ -293,7 +295,7 @@ def _packed_product(k: int, a: Sequence[FieldElement],
     entries, which bounds its size; coordinates from n up fold back through
     the rows of the conductor's table.
     """
-    n, rows = _table(k)
+    n = _table(k)[0]
     width = 2 * n - 1
     den_a, xs = _integer_slots(a, k, n, width)
     den_b, ys = _integer_slots(b, k, n, width)
@@ -304,12 +306,7 @@ def _packed_product(k: int, a: Sequence[FieldElement],
     den = den_a * den_b
     out = []
     for start in range(0, count, width):
-        vec = slots[start:start + n]
-        for t in range(n, width):
-            c = slots[start + t]
-            if c:
-                for i, r in rows[t % k]:
-                    vec[i] += c * r
+        vec = _fold(k, slots[start:start + width])
         if not any(vec):
             out.append(_ZERO)
             continue
@@ -587,19 +584,14 @@ class BiPolynomial:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return BiPolynomial.zero(self.var1, self.var2)
+        # var2 -> var1^w with w the product's var2 width: one univariate product
         a, b = self.rows, other.rows
-        n1 = len(a) + len(b) - 1
-        n2 = len(a[0]) + len(b[0]) - 1
-        out = [[_ZERO] * n2 for _ in range(n1)]
-        for i, arow in enumerate(a):
-            for j, ac in enumerate(arow):
-                if ac.is_zero():
-                    continue
-                for k, brow in enumerate(b):
-                    for l, bc in enumerate(brow):
-                        if not bc.is_zero():
-                            out[i + k][j + l] = out[i + k][j + l] + ac * bc
-        return BiPolynomial(out, self.var1, self.var2)
+        w = len(a[0]) + len(b[0]) - 1
+        pa, pb = (Polynomial([c for row in rows for c in row + (_ZERO,) * (w - len(row))])
+                  for rows in (a, b))
+        coeffs = (pa * pb).coeffs
+        return BiPolynomial([coeffs[i:i + w] for i in range(0, len(coeffs), w)],
+                            self.var1, self.var2)
 
     def exact_div(self, other: "BiPolynomial") -> "BiPolynomial":
         """Exact division; long division in var2 over polynomials in var1."""

@@ -372,3 +372,45 @@ def test_packed_product_matches_sympy(k):
                        for j in range(euler_phi(k))]
             assert c == FieldElement(k, residue)
 
+
+
+def _schoolbook_bivariate(p, q):
+    """p*q one pair of terms at a time: the oracle for the bivariate product."""
+    if p.is_zero() or q.is_zero():
+        return BiPolynomial.zero(p.var1, p.var2)
+    a, b = p.rows, q.rows
+    out = [[rational(0)] * (len(a[0]) + len(b[0]) - 1) for _ in range(len(a) + len(b) - 1)]
+    for i, arow in enumerate(a):
+        for j, x in enumerate(arow):
+            for k, brow in enumerate(b):
+                for l, y in enumerate(brow):
+                    out[i + k][j + l] = out[i + k][j + l] + x * y
+    return BiPolynomial(out, p.var1, p.var2)
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_bivariate_product_matches_schoolbook(k):
+    rng = random.Random(700 + k)
+
+    def entry():
+        c = _element(rng, k)
+        return c if not c.is_zero() else entry()
+
+    def grid(n1, n2, ragged=False, zero_rows=()):
+        rows = [[entry() for _ in range(rng.randint(1, n2) if ragged else n2)]
+                for _ in range(n1)]
+        for i in zero_rows:
+            rows[i] = [rational(0)] * len(rows[i])
+        return BiPolynomial(rows)
+
+    operands = [grid(1, 5), grid(5, 1), grid(1, 1), grid(3, 4),
+                grid(4, 5, ragged=True), grid(4, 3, zero_rows=(0, 2)),
+                grid(3, 4, ragged=True, zero_rows=(2,)), BiPolynomial.zero()]
+    assert [p.degrees for p in operands[:3]] == [(0, 4), (4, 0), (0, 0)]
+    for p in operands:
+        for q in operands:
+            got, want = p * q, _schoolbook_bivariate(p, q)
+            assert got.rows == want.rows
+            assert [c.conductor for row in got.rows for c in row] == \
+                [c.conductor for row in want.rows for c in row]
+            assert hash(got) == hash(want)
