@@ -9,8 +9,9 @@ time of `commdyn golden`, acceptance criteria 02, 06, 10 and 11, the
 layer table of perfbench/micro.py, Polynomial products by degree and
 conductor, the numeric layer (Lyapunov estimates at depth 24 and breadth
 128 on T_3 and a Lattes map, cycle exponents of z^2 - 1 up to period 4),
-and a fixed pure-Python reference loop, timed before and after the rest,
-so that a slower machine can be told from a slower program.  Every
+multiplier spectra (both survey Lattes maps at n = 2; z^2, T_2 and T_3
+at n = 3), and a fixed pure-Python reference loop, timed before and after
+the rest, so that a slower machine can be told from a slower program.  Every
 timing is the minimum over a few repeats; the host's speed drifts, so
 compare two commits only through runs taken alternately on one machine.
 """
@@ -126,6 +127,18 @@ def _numeric() -> dict:
     }
 
 
+def _spectra() -> dict:
+    import commdyn as cd
+
+    panel = {"lattes_0_1.n2": (cd.lattes_flexible(2, cd.rational(0), cd.rational(1)), 2),
+             "lattes_m1_0.n2": (cd.lattes_flexible(2, cd.rational(-1), cd.rational(0)), 2),
+             "z2.n3": (cd.parse_map("z^2"), 3),
+             "T2.n3": (cd.chebyshev(2), 3),
+             "T3.n3": (cd.chebyshev(3), 3)}
+    return {f"multiplier_spectrum.{name}.s": _best(lambda: cd.multiplier_spectrum(f, n), 1, 2)
+            for name, (f, n) in panel.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("out", help="the JSON file to write, BENCH_<n>.json")
@@ -140,6 +153,7 @@ def main(argv=None) -> int:
                        for name, (value, unit) in micro.run().items()}
     report["polynomial_mul"] = _polynomial_products()
     report["numeric"] = _numeric()
+    report["spectra"] = _spectra()
     report["reference_loop_s"].append(_reference_loop())
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)

@@ -29,10 +29,6 @@ class NoFactorError(PreconditionError):
     """The requested inner factor does not divide the map."""
 
 
-class RetryExhausted(CommdynError):
-    """A bounded pool of retry seeds ran out without producing a usable draw."""
-
-
 class NotAPowerError(CommdynError):
     """The queried integer is not an exact power of the derived base."""
 

@@ -2,48 +2,49 @@
 
 Fixed and periodic points of a rational self-map are carried as a single
 polynomial per period, with a separate flag absorbing the point at
-infinity.  Multiplier spectra come out of resultant elimination instead
-of any factorization: the multipliers of all period-n points are the
-roots of one monic polynomial, assembled by evaluating the eliminant at
-integer samples and interpolating.  The derivative-invariance identity
-along a commuting map is checked as exact polynomial divisibility.
+infinity.  Multiplier spectra come out of resultant elimination in the
+map's own chart instead of any factorization: the multipliers of all
+period-n points are the roots of one monic polynomial, assembled by
+interpolating the eliminant from integer samples, with the points at
+infinity in closed form (Milnor, Dynamics in One Complex Variable, 3rd
+ed., section 12).  The derivative-invariance identity along a commuting
+map is checked as exact polynomial divisibility.
 """
 
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional
 
-from .errors import (
-    NotAPowerError,
-    PreconditionError,
-    RetryExhausted,
-)
+from .errors import NotAPowerError, PreconditionError
 from .polynomial import (
     Polynomial,
     gcd_univariate,
     lagrange_interpolate,
     resultant,
 )
+# random_mobius is unused: perfbench/tracer.py hooks it until ROADMAP item 1
 from .ratmap import RationalMap, agree, random_mobius, sample_points
 from .ritt import _prime_exponents
 
 
 @dataclass(frozen=True)
 class PeriodicSpectrum:
-    """Period-n point data: defining polynomial, infinity flag, multipliers.
+    """Period-n point data: defining polynomial and infinity flag.
 
     The affine period-n points are the roots of phi (with multiplicity);
     infinity_is_periodic records the one point the polynomial cannot see.
     Their total is deg(f)^n + 1 whenever infinity is a simple point of
-    the fixed locus.  multiplier_poly is filled in by the spectrum
-    computation and stays None for plain periodic-point queries.
+    the fixed locus.
     """
 
     n: int
     phi: Polynomial
     infinity_is_periodic: bool
-    multiplier_poly: Optional[Polynomial] = None
+
+
+def _fixed_polynomial(it: RationalMap) -> Polynomial:
+    """monic(z*G - F) for it = F/G: the affine fixed points of the map."""
+    return (Polynomial.variable(it.num.var) * it.den - it.num).monic()
 
 
 def periodic_polynomial(f: RationalMap, n: int,
@@ -54,10 +55,9 @@ def periodic_polynomial(f: RationalMap, n: int,
     infinity is fixed exactly when deg F exceeds deg G.
     """
     it = f.iterate(n, degree_cap)
-    fixed = Polynomial.variable(it.num.var) * it.den - it.num
     return PeriodicSpectrum(
         n=n,
-        phi=fixed.monic(),
+        phi=_fixed_polynomial(it),
         infinity_is_periodic=it.num.degree > it.den.degree,
     )
 
@@ -88,43 +88,45 @@ def exact_period_polynomial(f: RationalMap, n: int,
                             infinity_is_periodic=inf_flag)
 
 
-_RETRY_SEEDS = 8
-
-
 def multiplier_spectrum(f: RationalMap, n: int,
                         degree_cap: int = 5000) -> Polynomial:
     """Monic polynomial whose roots are the period-n multipliers of f.
 
-    Multipliers are conjugation-invariant, so a map fixing infinity is
-    first moved by a seeded fractional-linear change of coordinates until
-    all its period-n points are affine.  Each multiplier (f^n)'(z) then
-    appears as a root, with multiplicity, of the eliminant of the
-    periodic polynomial against w * D - N, where N/D is the reduced
-    derivative of f^n.  The eliminant is recovered from integer samples
-    by interpolation; degree deg(f)^n + 1.
+    With f^n = F/G reduced, of degree D, the affine period-n points are
+    the roots of phi = monic(z*G - F).  F and G are coprime, so G does
+    not vanish there, and the multiplier at a root a is N(a)/G(a)^2 with
+    N = F'G - FG' left unreduced.  The affine part of the spectrum is the
+    resultant of phi against w*G^2 - N, evaluated at integer samples w
+    and interpolated.  phi must be monic: where the degree of w*G^2 - N
+    drops at a sample, a leading coefficient of phi would enter the
+    resultant to a power that depends on w.
+
+    The other m = D + 1 - deg phi period-n points sit at infinity, with
+    multiplier 1 when m >= 2 (a multiple fixed point, Milnor section 12),
+    0 when deg F - deg G >= 2, and lc(G)/lc(F) when deg F - deg G = 1.
+    The spectrum, of degree D + 1, is the affine part times (w - that)^m.
     """
-    spec = periodic_polynomial(f, n, degree_cap)
-    target = f
-    if spec.infinity_is_periodic:
-        for seed in range(_RETRY_SEEDS):
-            candidate = f.conjugate(random_mobius(seed))
-            moved = periodic_polynomial(candidate, n, degree_cap)
-            if not moved.infinity_is_periodic:
-                target, spec = candidate, moved
-                break
-        else:
-            raise RetryExhausted(
-                f"no conjugation among {_RETRY_SEEDS} seeds moved all "
-                f"period-{n} points into the affine chart")
-    derivative = target.iterate(n, degree_cap).derivative()
-    num, den = derivative.num, derivative.den
-    phi = spec.phi
-    xs, ys = [], []
-    for w in islice(sample_points(), phi.degree + 1):
-        probe = den.scale(w) - num
-        xs.append(w)
-        ys.append(resultant(phi, probe))
-    return lagrange_interpolate(xs, ys, var="w").monic()
+    it = f.iterate(n, degree_cap)
+    F, G = it.num, it.den
+    phi = _fixed_polynomial(it)
+    if phi.is_zero():
+        raise PreconditionError(
+            f"f^{n} is the identity: every point is fixed, so there is no spectrum")
+    N = F.derivative() * G - F * G.derivative()
+    G2 = G * G
+    xs = list(islice(sample_points(), phi.degree + 1))
+    ys = [resultant(phi, G2.scale(w) - N) for w in xs]
+    spectrum = lagrange_interpolate(xs, ys, var="w").monic()
+    m = it.degree + 1 - phi.degree
+    if m == 0:
+        return spectrum
+    if m >= 2:
+        at_infinity = 1
+    elif F.degree - G.degree >= 2:
+        at_infinity = 0
+    else:
+        at_infinity = G.leading() * F.leading().inverse()
+    return spectrum * Polynomial([-at_infinity, 1], "w") ** m
 
 
 def pow_mod(base: Polynomial, exponent: int, modulus: Polynomial) -> Polynomial:
@@ -172,7 +174,7 @@ def verify_multiplier_identity(f: RationalMap, g: RationalMap, n: int, p: int,
         raise PreconditionError(
             "the second map must commute with the n-th iterate of the first")
     big = fn.iterate(p, degree_cap)
-    phi = (Polynomial.variable(big.num.var) * big.den - big.num).monic()
+    phi = _fixed_polynomial(big)
     num = big.num.derivative() * big.den - big.num * big.den.derivative()
     den = big.den * big.den
     for untestable in (g.derivative().num, g.den):

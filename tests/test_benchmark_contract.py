@@ -20,6 +20,7 @@ from commdyn.correspondence import Correspondence, point_orbit  # noqa: E402
 from commdyn.exactfield import FieldElement  # noqa: E402
 from commdyn.exponents import characteristic_exponents, lyapunov_estimate  # noqa: E402
 from commdyn.parsing import parse_map  # noqa: E402
+from commdyn.periodic import multiplier_spectrum  # noqa: E402
 from perfbench.tracer import SPANS, Tracer  # noqa: E402
 
 
@@ -56,6 +57,14 @@ def test_cycle_survey_is_counted():
     with Tracer() as tracer:
         reports = characteristic_exponents(BASILICA, 2)
     assert tracer.counts["exponents.cycle_clusters"] >= len(reports) > 0
+
+
+def test_spectra_need_no_conjugation():
+    lattes = commdyn.lattes_flexible(2, commdyn.rational(0), commdyn.rational(1))
+    with Tracer() as tracer:
+        multiplier_spectrum(parse_map("z^2"), 2)
+        multiplier_spectrum(lattes, 1)
+    assert tracer.counts["periodic.conjugation_retries"] == 0
 
 
 def test_every_binding_is_restored():

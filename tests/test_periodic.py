@@ -1,10 +1,13 @@
 """Periodic-point polynomials, multiplier spectra, and derivative identities."""
 
 import random
+from itertools import islice
 
 import pytest
 
 from commdyn.errors import NotAPowerError, PreconditionError
+from commdyn.exactfield import rational, zeta
+from commdyn.exceptional import chebyshev, lattes_flexible
 from commdyn.parsing import parse_map
 from commdyn.periodic import (
     common_fixed_points,
@@ -14,8 +17,8 @@ from commdyn.periodic import (
     periodic_polynomial,
     verify_multiplier_identity,
 )
-from commdyn.polynomial import Polynomial, gcd_univariate
-from commdyn.ratmap import RationalMap, random_mobius
+from commdyn.polynomial import Polynomial, gcd_univariate, lagrange_interpolate, resultant
+from commdyn.ratmap import RationalMap, random_mobius, sample_points
 
 E2_U = parse_map("(z^2 - 4)/(z - 1)")
 E2_V = parse_map("(z^2 + 2)/(z + 1)")
@@ -44,6 +47,72 @@ def random_equal_degree_map(rng: random.Random) -> RationalMap:
         f = RationalMap(Polynomial.from_ints(num), Polynomial.from_ints(den))
         if f.degree == d and f.num.degree == d and f.den.degree == d:
             return f
+
+
+def random_map(rng: random.Random, d: int, k: int = 1) -> RationalMap:
+    """Seeded degree-d draw over Q(zeta_k) with a denominator of any degree up to d.
+
+    A denominator of lower degree makes infinity periodic, the case that
+    multiplier_spectrum treats in closed form.
+    """
+    unit = zeta(k)
+
+    def coeff():
+        c = rational(rng.randint(-3, 3))
+        return c + unit * rng.randint(-3, 3) if k > 1 else c
+
+    def coeffs(degree):
+        return [coeff() for _ in range(degree + 1)]
+
+    while True:
+        num, den = Polynomial(coeffs(d)), Polynomial(coeffs(rng.randint(0, d)))
+        if not den.is_zero() and num.degree == d:
+            f = RationalMap(num, den)
+            if f.degree == d:
+                return f
+
+
+def _spectrum_by_conjugation(f: RationalMap, n: int) -> Polynomial:
+    """The spectrum through a change of coordinates: the oracle of the closed form.
+
+    Conjugates f by seeded fractional-linear maps until no period-n point
+    sits at infinity, then eliminates the periodic polynomial against the
+    reduced derivative of the conjugate's n-th iterate.
+    """
+    spec = periodic_polynomial(f, n)
+    target = f
+    if spec.infinity_is_periodic:
+        for seed in range(8):
+            candidate = f.conjugate(random_mobius(seed))
+            moved = periodic_polynomial(candidate, n)
+            if not moved.infinity_is_periodic:
+                target, spec = candidate, moved
+                break
+        else:
+            raise AssertionError(f"no seed moved every period-{n} point off infinity")
+    derivative = target.iterate(n).derivative()
+    xs = list(islice(sample_points(), spec.phi.degree + 1))
+    ys = [resultant(spec.phi, derivative.den.scale(w) - derivative.num) for w in xs]
+    return lagrange_interpolate(xs, ys, var="w").monic()
+
+
+def _oracle_panel():
+    survey = [("z^2", parse_map("z^2")), ("z^3", parse_map("z^3")),
+              ("T2", chebyshev(2)), ("T3", chebyshev(3)),
+              ("lattes(0,1)", lattes_flexible(2, rational(0), rational(1))),
+              ("lattes(-1,0)", lattes_flexible(2, rational(-1), rational(0)))]
+    # infinity, once periodic, is superattracting for 1/z^2 (at n = 2), a
+    # multiple fixed point for z + 1/z and has multiplier lc(G)/lc(F) = 1/2
+    # for 2z^3/(z^2 + 1)
+    others = [(text, parse_map(text)) for text in (
+        "1/z^2", "z + 1/z", "2*z^3/(z^2 + 1)", "zeta3*z^2 + 1", "z^2 + zeta4*z")]
+    rng = random.Random(20261018)
+    drawn = [(f"random{i}", random_map(rng, 2)) for i in range(3)]
+    cases = [pytest.param(f, n, id=f"{name}-n{n}")
+             for name, f in survey + others + drawn for n in (1, 2)]
+    cases += [pytest.param(parse_map(text), 3, id=f"{text}-n3")
+              for text in ("z^2", "z^2 - 2", "z^2 - 1")]
+    return cases
 
 
 class TestPeriodicPolynomial:
@@ -89,6 +158,33 @@ class TestMultiplierSpectrum:
         f = parse_map("z^2 - 1")
         m = random_mobius(5)
         assert multiplier_spectrum(f.conjugate(m), 2) == multiplier_spectrum(f, 2)
+
+    @pytest.mark.parametrize("f, n", _oracle_panel())
+    def test_matches_conjugating_path(self, f, n):
+        assert multiplier_spectrum(f, n) == _spectrum_by_conjugation(f, n)
+
+    def test_identity_iterate_rejected(self):
+        with pytest.raises(PreconditionError):
+            multiplier_spectrum(parse_map("1/z"), 2)
+
+    def test_holomorphic_index(self):
+        """sum 1/(1 - lambda) = 1 over the fixed points of f^n (Milnor, section 12).
+
+        For P = prod (w - lambda) that reads P'(1) = P(1) whenever P(1) != 0.
+        """
+        rng = random.Random(20261019)
+        one = rational(1)
+        for k in (1, 3, 4):
+            for d in (2, 3):
+                for _ in range(3):
+                    f = random_map(rng, d, k)
+                    for n in (1, 2):
+                        spectrum = multiplier_spectrum(f, n)
+                        assert spectrum.degree == d ** n + 1
+                        assert spectrum.leading() == one
+                        at_one = spectrum.evaluate(one)
+                        if not at_one.is_zero():
+                            assert spectrum.derivative().evaluate(one) == at_one
 
 
 class TestMultiplierIdentity:
