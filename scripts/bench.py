@@ -7,13 +7,16 @@ Run from the root of a source checkout; commdyn is imported from src/.
 The file records the machine, the line count of src/commdyn, the wall
 time of `commdyn golden`, acceptance criteria 02, 06, 10 and 11, the
 layer table of perfbench/micro.py, Polynomial products by degree and
-conductor, the numeric layer (Lyapunov estimates at depth 24 and breadth
-128 on T_3 and a Lattes map, cycle exponents of z^2 - 1 up to period 4),
-multiplier spectra (both survey Lattes maps at n = 2; z^2, T_2 and T_3
-at n = 3), and a fixed pure-Python reference loop, timed before and after
-the rest, so that a slower machine can be told from a slower program.  Every
-timing is the minimum over a few repeats; the host's speed drifts, so
-compare two commits only through runs taken alternately on one machine.
+conductor, resultants of dense operands with entries in [-99, 99] (degree
+8 and 16 at conductors 1, 3 and 12, and degree 32 at conductor 1), the
+numeric layer (Lyapunov estimates at depth 24 and breadth 128 on T_3 and
+a Lattes map, cycle exponents of z^2 - 1 up to period 4), multiplier
+spectra (both survey Lattes maps at n = 2; z^2, T_2, T_3 and
+(z^3 + 1)/(z^2 + 3) at n = 3), and a fixed pure-Python reference loop,
+timed before and after the rest, so that a slower machine can be told
+from a slower program.  Every timing is the minimum over a few repeats;
+the host's speed drifts, so compare two commits only through runs taken
+alternately on one machine.
 """
 
 from __future__ import annotations
@@ -111,6 +114,27 @@ def _polynomial_products() -> dict:
     return out
 
 
+def _resultants() -> dict:
+    from commdyn.exactfield import FieldElement, euler_phi
+    from commdyn.polynomial import Polynomial, resultant
+
+    rng = random.Random(20261019)
+
+    def dense(k, degree):
+        def entry():
+            return FieldElement(k, [rng.randint(-99, 99) for _ in range(euler_phi(k))])
+        lead = entry()
+        while lead.is_zero():
+            lead = entry()
+        return Polynomial([entry() for _ in range(degree)] + [lead])
+
+    out = {}
+    for k, degree in ((1, 8), (1, 16), (1, 32), (3, 8), (3, 16), (12, 8), (12, 16)):
+        p, q = dense(k, degree), dense(k, degree)
+        out[f"k{k}.d{degree}.ms"] = _best(lambda: resultant(p, q), 1, 3) * 1e3
+    return out
+
+
 def _numeric() -> dict:
     import commdyn as cd
 
@@ -134,7 +158,8 @@ def _spectra() -> dict:
              "lattes_m1_0.n2": (cd.lattes_flexible(2, cd.rational(-1), cd.rational(0)), 2),
              "z2.n3": (cd.parse_map("z^2"), 3),
              "T2.n3": (cd.chebyshev(2), 3),
-             "T3.n3": (cd.chebyshev(3), 3)}
+             "T3.n3": (cd.chebyshev(3), 3),
+             "z3_plus_1_over_z2_plus_3.n3": (cd.parse_map("(z^3 + 1)/(z^2 + 3)"), 3)}
     return {f"multiplier_spectrum.{name}.s": _best(lambda: cd.multiplier_spectrum(f, n), 1, 2)
             for name, (f, n) in panel.items()}
 
@@ -152,6 +177,7 @@ def main(argv=None) -> int:
     report["micro"] = {name: {"value": value, "unit": unit}
                        for name, (value, unit) in micro.run().items()}
     report["polynomial_mul"] = _polynomial_products()
+    report["resultant"] = _resultants()
     report["numeric"] = _numeric()
     report["spectra"] = _spectra()
     report["reference_loop_s"].append(_reference_loop())

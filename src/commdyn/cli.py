@@ -479,6 +479,9 @@ def _config_from_args(args) -> RunConfig:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    # argparse (3.11) hands a positional "--" that follows "--" over as []
+    if (sys.argv[1:] if argv is None else argv).count("--") > 1:
+        parser.error("'--' may appear only once")
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)

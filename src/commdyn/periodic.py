@@ -47,6 +47,15 @@ def _fixed_polynomial(it: RationalMap) -> Polynomial:
     return (Polynomial.variable(it.num.var) * it.den - it.num).monic()
 
 
+def _divide_out(phi: Polynomial, other: Polynomial) -> Polynomial:
+    """phi without the roots it shares with other, multiplicity and all; 0 stays 0."""
+    shared = gcd_univariate(phi, other)
+    while shared.degree > 0 and not phi.is_zero():
+        phi = phi.exact_div(shared)
+        shared = gcd_univariate(phi, other)
+    return phi
+
+
 def periodic_polynomial(f: RationalMap, n: int,
                         degree_cap: int = 5000) -> PeriodicSpectrum:
     """Monic polynomial vanishing on the affine points of period dividing n.
@@ -79,11 +88,7 @@ def exact_period_polynomial(f: RationalMap, n: int,
         lower = periodic_polynomial(f, m, degree_cap)
         if lower.infinity_is_periodic:
             inf_flag = False
-        while True:
-            shared = gcd_univariate(phi, lower.phi)
-            if shared.degree == 0:
-                break
-            phi = phi.exact_div(shared)
+        phi = _divide_out(phi, lower.phi)
     return PeriodicSpectrum(n=n, phi=phi.monic(),
                             infinity_is_periodic=inf_flag)
 
@@ -178,12 +183,8 @@ def verify_multiplier_identity(f: RationalMap, g: RationalMap, n: int, p: int,
     num = big.num.derivative() * big.den - big.num * big.den.derivative()
     den = big.den * big.den
     for untestable in (g.derivative().num, g.den):
-        while True:
-            shared = gcd_univariate(phi, untestable)
-            if shared.degree == 0:
-                break
-            phi = phi.exact_div(shared)
-    if phi.degree == 0:
+        phi = _divide_out(phi, untestable)
+    if phi.degree <= 0:  # no testable point, or f^(np) is the identity
         return True
     phi = phi.monic()
     comp_num = _compose_numerator_mod(num, g.num, g.den, phi)

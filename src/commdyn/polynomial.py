@@ -15,9 +15,9 @@ The pieces that everything else leans on:
   conductor beyond the cap, so that the cap error is raised by the term
   pair that crosses it.  A bivariate product is one such univariate
   product, with var2 -> var1^w for w the product's width in var2;
-* subresultant pseudo-remainder sequences, written once and reused for
-  univariate gcd, bivariate gcd (coefficients are themselves polynomials),
-  and resultant-style elimination of a shared variable;
+* one subresultant pseudo-remainder sequence, tracking signs, for the
+  resultant, univariate gcd, bivariate gcd (coefficients are themselves
+  polynomials), and resultant-style elimination of a shared variable;
 * exact Gaussian elimination for the linear systems that appear when
   peeling an outer factor off a composition;
 * squarefree parts, computed as p / gcd(p, p') one variable at a time.
@@ -319,7 +319,7 @@ def _packed_product(k: int, a: Sequence[FieldElement],
 # generic subresultant machinery
 #
 # Sequences are lists of ring elements (low to high degree in the working
-# variable).  The ring element type must provide *, unary -, binary -,
+# variable).  The ring element type must provide *, +, unary -, ==,
 # exact_div, and is_zero; FieldElement, Polynomial, and BiPolynomial all do.
 # ---------------------------------------------------------------------------
 
@@ -329,48 +329,50 @@ def _seq_trim(a: list) -> list:
     return a
 
 
-def _pseudo_rem(a: list, b: list) -> list:
-    """prem(a, b): the remainder of lc(b)^(deg a - deg b + 1) * a by b."""
-    da, db = len(a) - 1, len(b) - 1
-    lb = b[-1]
+def _pseudo_rem(a: list, b: list, one) -> list:
+    """prem(a, b): lc(b)^(deg a - deg b + 1) * a mod b; zeros and lc(b) = 1 cost nothing."""
+    db, lb = len(b) - 1, b[-1]
+    terms = [(i, bi) for i, bi in enumerate(b[:-1]) if not bi.is_zero()]
     r = list(a)
-    for k in range(da - db, -1, -1):
-        if len(r) - 1 == db + k:
-            c = r[-1]
-            r = [lb * ri for ri in r[:-1]]
-            for i in range(db):
-                r[k + i] = r[k + i] - c * b[i]
-        else:
-            r = [lb * ri for ri in r]
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = -r.pop() if len(r) - 1 == db + k else None
+        if lb != one:
+            r = [ri if ri.is_zero() else lb * ri for ri in r]
+        if c is not None:
+            for i, bi in terms:
+                r[k + i] = r[k + i] + c * bi
         _seq_trim(r)
     return r
 
 
-def _subresultant_last(a: list, b: list, one) -> list:
-    """Last nonzero element of the subresultant sequence of a and b.
+def _subresultant_last(a: list, b: list, one) -> tuple[list, list, object, int]:
+    """(prev, last, h, sign): the final state of the subresultant sequence.
 
-    Signs are not tracked; callers normalize or strip content afterwards.
+    last is its last nonzero element (a gcd up to a ring scalar; the other
+    operand if one is zero), prev the one before, h the subresultant scalar
+    and sign the product of (-1)^(deg A * deg B) over the steps (Cohen,
+    GTM 138, Algorithm 3.3.7).
     """
     A, B = _seq_trim(list(a)), _seq_trim(list(b))
-    if not A or not B:
-        return A or B
+    g, h, sign = one, one, 1
     if len(A) < len(B):
         A, B = B, A
-    g, h = one, one
-    while True:
-        delta = (len(A) - 1) - (len(B) - 1)
-        R = _pseudo_rem(A, B)
+        sign = -1 if len(A) % 2 == len(B) % 2 == 0 else 1
+    while len(B) > 1:
+        delta = len(A) - len(B)
+        R = _pseudo_rem(A, B, one)
         if not R:
-            return B
+            break
+        if len(A) % 2 == len(B) % 2 == 0:
+            sign = -sign
         beta = g * _ring_pow(h, delta, one)
-        A, B = B, [c.exact_div(beta) for c in R]
+        A, B = B, R if beta == one else [c.exact_div(beta) for c in R]
         g = A[-1]
-        if delta == 0:
-            pass  # h unchanged
-        elif delta == 1:
+        if delta == 1:
             h = g
-        else:
+        elif delta > 1:  # at delta = 0 h is unchanged: _ring_pow(h, -1) is h^3
             h = _ring_pow(g, delta, one).exact_div(_ring_pow(h, delta - 1, one))
+    return (A, B, h, sign) if B else (B, A, h, sign)
 
 
 def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
@@ -379,7 +381,7 @@ def gcd_univariate(p: Polynomial, q: Polynomial) -> Polynomial:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    last = _subresultant_last(list(p.coeffs), list(q.coeffs), _ONE)
+    last = _subresultant_last(list(p.coeffs), list(q.coeffs), _ONE)[1]
     return Polynomial(last, p.var).monic()
 
 
@@ -392,22 +394,13 @@ def squarefree_part(p: Polynomial) -> Polynomial:
 
 
 def resultant(p: Polynomial, q: Polynomial) -> FieldElement:
-    """Exact resultant of two univariate polynomials over the field."""
-    if p.is_zero() or q.is_zero():
+    """Exact resultant over the field: zero unless the subresultant sequence
+    ends in a constant, and then sign * lc(last)^deg(prev) / h^(deg(prev) - 1)."""
+    prev, last, h, sign = _subresultant_last(list(p.coeffs), list(q.coeffs), _ONE)
+    if len(last) != 1 or not prev:  # a common factor, or a zero operand
         return _ZERO
-    sign = 1
-    a, b = p, q
-    acc = _ONE
-    while True:
-        if b.is_constant():
-            return acc * b.leading() ** a.degree * (rational(sign))
-        r = a % b
-        if r.is_zero():
-            return _ZERO
-        if (a.degree * b.degree) % 2 == 1:
-            sign = -sign
-        acc = acc * b.leading() ** (a.degree - r.degree)
-        a, b = b, r
+    d = len(prev) - 1
+    return last[0] ** d * h ** (1 - d) * sign
 
 
 def lagrange_interpolate(xs: Sequence[FieldElement], ys: Sequence[FieldElement],
@@ -709,7 +702,7 @@ def gcd_bivariate(p: BiPolynomial, q: BiPolynomial) -> BiPolynomial:
     pp = [c.exact_div(p_content) for c in pc]
     qp = [c.exact_div(q_content) for c in qc]
     one = Polynomial.one(p.var1)
-    last = _subresultant_last(pp, qp, one)
+    last = _subresultant_last(pp, qp, one)[1]
     last_content = _content(last)
     primitive = [c.exact_div(last_content) for c in last]
     content_gcd = gcd_univariate(p_content, q_content)
@@ -776,7 +769,7 @@ def resultant_eliminate(p: BiPolynomial, q: BiPolynomial) -> BiPolynomial:
     b = [BiPolynomial.from_poly_in_var2(c.with_var(out2), out1, out2)
          for c in q.transpose().var2_coeffs()]
     one = BiPolynomial([[_ONE]], out1, out2)
-    last = _subresultant_last(a, b, one)
+    last = _subresultant_last(a, b, one)[1]
     if len(last) != 1:
         # positive y-degree gcd: shared component, projection degenerates
         return BiPolynomial.zero(out1, out2)

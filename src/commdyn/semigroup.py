@@ -180,10 +180,12 @@ def verify_identity_eq8(g: RationalMap, h: RationalMap, N: int,
     """
     if N < 1:
         raise PreconditionError("iterate count must be positive")
-    total = (g.degree ** N) ** (N + 1) * (h.degree ** N) ** N
-    if total > degree_cap:
-        raise BudgetError(
-            f"composite degree {total} exceeds cap {degree_cap}")
+    bits = degree_cap.bit_length()  # d^e > cap once d > 1 and e >= bits
+    e_g, e_h = N * (N + 1), N * N
+    if (g.degree > 1 and e_g >= bits) or (h.degree > 1 and e_h >= bits) \
+            or g.degree ** e_g * h.degree ** e_h > degree_cap:
+        raise BudgetError(f"composite degree {g.degree}^{e_g} * {h.degree}^{e_h} "
+                          f"exceeds cap {degree_cap}")
     big_g = g.iterate(N, degree_cap)
     big_h = h.iterate(N, degree_cap)
     mixed = big_g.compose(big_h).iterate(N, degree_cap)

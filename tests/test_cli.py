@@ -1,9 +1,12 @@
 """Tests for the command line front end: parsing, exit codes, config
 handling, report formats, and the golden gate plumbing."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from commdyn import cli
 from commdyn.cli import RunConfig, emit_report, load_config, main
@@ -98,6 +101,16 @@ class TestExitCodes:
                                "--N", "2")
         assert code == 3
         assert "budget" in err
+
+    @pytest.mark.parametrize("argv", [["ritt", "common-iterate", "z^2", "--", "--"],
+                                      ["per", "poly", "--", "z^2", "--"]])
+    def test_second_double_dash_is_a_usage_error(self, capsys, argv):
+        # argparse would hand the second "--" to a positional as [], an
+        # internal error (exit 5) further on
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "'--' may appear only once" in capsys.readouterr().err
 
     def test_precondition_is_four(self, capsys):
         code, _, err = run_cli(capsys, "exp", "lyapunov", "z + 1")
@@ -278,3 +291,76 @@ class TestOneValidationPoint:
                                str(cfg))
         assert code == 2
         assert "unknown key" in err
+
+
+# -- fuzzing -----------------------------------------------------------------
+
+# Valid and malformed pieces, valid seven times in eight.  Every map has
+# degree at most two and every count, degree and budget is small, so that
+# no argv asks for heavy work.
+def _pieces(valid, malformed):
+    return st.integers(0, 7).flatmap(
+        lambda i: st.sampled_from(malformed if i == 0 else valid))
+
+
+_MAP = _pieces(("z^2", "z^2 - 2", "z^2 - 1", "z + 1/z", "1/z", "-z", "z + 1", "zeta4*z",
+                "zeta3*z^2 + 1", "(z^2 + 2)/(z + 1)", "2*z^2/(z^2 + 1)", "z^2 + zeta4*z"),
+               ("", "z^", "((z", "z^-2", "1/0", "z/z", "2", "w^2", "zeta0*z", "zeta999*z",
+                "z^6000", "z^2.5", "nan", "--", "z^^2", "zeta3^"))
+_POINT = _pieces(("0", "1", "-2", "1/2", "zeta3", "zeta7^2", "inf"), ("", "x", "1/0", "zeta0"))
+_COUNT = _pieces(("1", "2", "3"), ("-1", "0", "x", "", "1.5"))
+_SMALL = _pieces(("1", "2"), ("-1", "0", "x"))
+_FLAGS = {"--format": _pieces(("text", "structured"), ("yaml",)),
+          "--seed": _pieces(("0", "-5"), ("x",)),
+          "--field": _pieces(("1", "3", "12"), ("-1", "0")),
+          "--degree-cap": _pieces(("16", "5000"), ("-1", "0", "1")),
+          "--config": st.sampled_from(("/nonexistent/run.cfg", ".")),
+          "--budget-ritt": _SMALL, "--budget-orbit": _SMALL, "--kmax": _SMALL,
+          "--depth": _SMALL, "--breadth": _SMALL}
+_COMMANDS = {
+    "gen chebyshev": [_COUNT, st.sampled_from(("--sign=1", "--sign=-1", "--sign=2"))],
+    "gen power": [_COUNT, st.just("--zeta"), _pieces(("1", "3", "12"), ("0", "50", "x")),
+                  st.just("--exponent"), _COUNT],
+    "gen lattes": [_SMALL, _POINT, _POINT],
+    "ritt seq": [_MAP, _MAP, st.just("--min-steps"), _SMALL],
+    "ritt common-iterate": [_MAP, _MAP],
+    "corr graph": [_MAP, _MAP],
+    "corr closure": [_MAP, _MAP, st.just("--kmax"), _SMALL],
+    "corr lemma4": [_MAP, _MAP],
+    "per poly": [_MAP, _COUNT, st.sampled_from(("--exact", "--format=text"))],
+    "per multipliers": [_MAP, _COUNT],
+    "per eq2": [_MAP, _MAP, _SMALL, _SMALL],
+    "exp lyapunov": [_MAP, st.just("--depth"), _SMALL, st.just("--breadth"), _SMALL],
+    "exp probe": [_MAP, st.just("--nmax"), _SMALL, st.just("--depth"), _SMALL,
+                  st.just("--breadth"), _SMALL],
+    "orbit explore": [_MAP, st.just("--start"), _POINT, st.just("--budget"), _SMALL],
+    "orbit phi": [_MAP, _MAP, st.lists(_POINT, max_size=3).map(";".join)],
+    "identity eq8": [_MAP, _MAP, st.just("--N"), _pieces(("1",), ("-1", "0", "x"))],
+    "golden": [st.just("--list")],
+}
+
+
+@st.composite
+def _argv(draw):
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = name.split() + [draw(piece) for piece in _COMMANDS[name]]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAGS)), max_size=2)):
+        argv += [flag, draw(_FLAGS[flag])]
+    if draw(st.integers(0, 3)) == 0:  # drop, repeat or follow a token with junk
+        i = draw(st.integers(0, len(argv) - 1))
+        junk = draw(st.sampled_from(("--bogus", "extra", "-h", "--kmax")))
+        argv[i:i + 1] = draw(st.sampled_from(([], [argv[i]] * 2, [argv[i], junk])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(argv=_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

@@ -1,6 +1,7 @@
 """Periodic-point polynomials, multiplier spectra, and derivative identities."""
 
 import random
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -136,6 +137,14 @@ class TestPeriodicPolynomial:
         assert spec.phi == _poly(1, 1, 1)
         assert not spec.infinity_is_periodic
 
+    def test_identity_iterate_stays_zero(self):
+        # (1/z)^2 and (-z)^2 are the identity: every point is fixed, and
+        # dividing the lower periods out of that zero polynomial must end
+        for text, infinity in (("1/z", True), ("-z", False)):
+            spec = exact_period_polynomial(parse_map(text), 2)
+            assert spec.phi.is_zero()
+            assert spec.infinity_is_periodic == infinity
+
     def test_divisor_containment(self):
         f = parse_map("z^2 - 1")
         low = periodic_polynomial(f, 1).phi
@@ -162,6 +171,35 @@ class TestMultiplierSpectrum:
     @pytest.mark.parametrize("f, n", _oracle_panel())
     def test_matches_conjugating_path(self, f, n):
         assert multiplier_spectrum(f, n) == _spectrum_by_conjugation(f, n)
+
+    def test_matches_sympy_resultant(self):
+        """monic Res_z(phi, w*G^2 - N), with f^n = F/G iterated and reduced by sympy."""
+        import sympy
+
+        z, w = sympy.symbols("z w")
+
+        def expr(p):
+            return sum(sympy.Rational(str(c.as_fraction())) * z ** i
+                       for i, c in enumerate(p.coeffs))
+
+        rng = random.Random(20261020)
+        checked = 0
+        while checked < 5:
+            f = random_equal_degree_map(rng)
+            n = 2 if f.degree == 2 else 1
+            it = z
+            for _ in range(n):
+                it = (expr(f.num) / expr(f.den)).subs(z, it)
+            F, G = sympy.fraction(sympy.cancel(sympy.together(it)))
+            if sympy.degree(F, z) > sympy.degree(G, z):
+                continue  # infinity is periodic: the closed form, not a resultant
+            phi = sympy.Poly(z * G - F, z).monic().as_expr()
+            N = sympy.diff(F, z) * G - F * sympy.diff(G, z)
+            expected = sympy.Poly(sympy.resultant(phi, w * G ** 2 - N, z), w).monic()
+            got = multiplier_spectrum(f, n)
+            assert [c.as_fraction() for c in got.coeffs] == \
+                [Fraction(str(c)) for c in expected.all_coeffs()[::-1]]
+            checked += 1
 
     def test_identity_iterate_rejected(self):
         with pytest.raises(PreconditionError):
@@ -196,6 +234,11 @@ class TestMultiplierIdentity:
 
     def test_power_maps(self):
         assert verify_multiplier_identity(parse_map("z^2"), parse_map("z^3"), 1, 1)
+
+    def test_identity_iterate(self):
+        # f^2 = id has derivative one everywhere, so the identity holds
+        assert verify_multiplier_identity(parse_map("1/z"), parse_map("1/z"), 2, 1)
+        assert verify_multiplier_identity(parse_map("-z"), parse_map("1/z"), 2, 1)
 
     def test_non_commuting_rejected(self):
         with pytest.raises(PreconditionError):

@@ -96,6 +96,64 @@ def test_resultant_closed_form_and_oracle():
         assert ours == Fraction(str(sympy.resultant(sa, sb)))
 
 
+def _euclid_resultant(p, q):
+    """Res(p, q) by Euclid's algorithm over the field: the oracle for `resultant`."""
+    if p.is_zero() or q.is_zero():
+        return rational(0)
+    sign, acc, a, b = 1, rational(1), p, q
+    while True:
+        if b.is_constant():
+            return acc * b.leading() ** a.degree * rational(sign)
+        r = a % b
+        if r.is_zero():
+            return rational(0)
+        if (a.degree * b.degree) % 2 == 1:
+            sign = -sign
+        acc = acc * b.leading() ** (a.degree - r.degree)
+        a, b = b, r
+
+
+def _in_square(p):
+    """p(z^2): every remainder of two such polynomials drops the degree by two."""
+    coeffs = []
+    for c in p.coeffs:
+        coeffs += [c, rational(0)]
+    return Polynomial(coeffs[:-1])
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_resultant_matches_euclid(k):
+    rng = random.Random(1200 + k)
+    high = 7 if k < 12 else 5
+    pairs = [(_dense(rng, k, 0), _dense(rng, k, 0)),   # degree-0 operands
+             (_dense(rng, k, 0), _dense(rng, k, 4)),
+             (_dense(rng, k, 3), _dense(rng, k, 0))]
+    pairs += [(_dense(rng, k, d), _dense(rng, k, d)) for d in (1, 2, high)]  # delta = 0
+    pairs += [(_dense(rng, k, d + gap), _dense(rng, k, d))                   # gaps >= 2
+              for d, gap in ((0, 2), (1, 3), (2, 2), (3, high - 3))]
+    pairs += [(_in_square(_dense(rng, k, 3)), _in_square(_dense(rng, k, 2))),
+              (_in_square(_dense(rng, k, 2)), _in_square(_dense(rng, k, 2)))]
+    pairs += [(_dense(rng, k, 4).monic(), _dense(rng, k, 3)),
+              (_dense(rng, k, 2), _dense(rng, k, 5).monic())]
+    for _ in range(4):
+        pairs.append((_dense(rng, k, rng.randint(0, high)), _dense(rng, k, rng.randint(0, high))))
+    shared = []
+    for d in (1, 2):
+        common = _dense(rng, k, d)
+        shared.append((common * _dense(rng, k, 2), common * _dense(rng, k, 3)))
+    square = _in_square(_dense(rng, k, 1))
+    shared.append((square * _dense(rng, k, 1), square))
+    for p, q in pairs + shared:
+        value = resultant(p, q)
+        assert value == _euclid_resultant(p, q)
+        assert resultant(q, p) == value * (-1) ** (p.degree * q.degree)
+    for p, q in shared:
+        assert resultant(p, q).is_zero()
+    for other in (square, _dense(rng, k, 0), Polynomial.zero()):   # zero operands
+        assert resultant(Polynomial.zero(), other).is_zero()
+        assert resultant(other, Polynomial.zero()).is_zero()
+
+
 def test_squarefree_part():
     p = P(-1, 1) * P(-1, 1) * P(2, 1)
     sf = squarefree_part(p)
@@ -197,6 +255,35 @@ def test_resultant_eliminate_shared_component_returns_zero():
     q2 = BiPolynomial([[-3], [1]], "y", "w")
     assert resultant_eliminate(p2, q2).is_zero()
     assert not resultant_eliminate(p, q).is_zero()
+
+
+def test_resultant_eliminate_matches_sympy():
+    """Equal, up to a scalar, to the product of the distinct factors of
+    Res_y(p, q) that involve both x and w, factored by sympy over Q."""
+    import sympy
+
+    x, y, w = sympy.symbols("x y w")
+    rng = random.Random(20261021)
+
+    def draw(var1, var2):
+        rows = [[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
+                for _ in range(rng.randint(2, 3))]
+        rows[-1][0] = rows[-1][0] or 1
+        rows[0] += [0] * (2 - len(rows[0])) + [rng.choice((-2, -1, 1, 2))]
+        return BiPolynomial(rows, var1, var2)
+
+    def expr(p, s1, s2):
+        return sum(sympy.Rational(str(c.as_fraction())) * s1 ** i * s2 ** j
+                   for i, row in enumerate(p.rows) for j, c in enumerate(row))
+
+    for _ in range(8):
+        p, q = draw("x", "y"), draw("y", "w")
+        full = sympy.resultant(expr(p, x, y), expr(q, y, w), y)
+        ours = resultant_eliminate(p, q)
+        assert (ours.var1, ours.var2) == ("x", "w")
+        factors = [f for f, _ in sympy.factor_list(full)[1] if f.free_symbols == {x, w}]
+        expected = sympy.Poly(sympy.Mul(*factors), x, w).monic()
+        assert sympy.Poly(expr(ours, x, w), x, w).monic() == expected
 
 
 def test_sparse_evaluate_and_power_match_repeated_multiplication():

@@ -185,6 +185,10 @@ class TestIdentityEq8:
     def test_degree_cap_enforced(self):
         with pytest.raises(BudgetError):
             verify_identity_eq8(parse_map("z^4 + 1"), parse_map("z^4"), 2)
+        # decided without building the 64-million-bit degree, and reported
+        # as powers: printing that integer raised ValueError
+        with pytest.raises(BudgetError, match=r"degree 2\^25005000 \* 3\^25000000 exceeds"):
+            verify_identity_eq8(SQUARE, parse_map("z^3"), 5000)
 
     def test_n_must_be_positive(self):
         with pytest.raises(PreconditionError):
