@@ -4,12 +4,14 @@
     python3 scripts/bench.py BENCH_<n>.json
 
 Run from the root of a source checkout; commdyn is imported from src/.
-The file records the machine, the line count of src/commdyn, the wall
-time of `commdyn golden`, acceptance criteria 02, 06, 10 and 11, the
-layer table of perfbench/micro.py, Polynomial products by degree and
-conductor, resultants of dense operands with entries in [-99, 99] (degree
-8 and 16 at conductors 1, 3 and 12, and degree 32 at conductor 1), the
-numeric layer (Lyapunov estimates at depth 24 and breadth 128 on T_3 and
+The file records the machine, the line count of src/commdyn, start-up
+(the median over 7 fresh processes of `import commdyn.cli` and of
+`python -m commdyn.cli gen chebyshev 3`, and whether each imported
+numpy), the wall time of `commdyn golden`, acceptance criteria 02, 06,
+10 and 11, the layer table of perfbench/micro.py, Polynomial products by
+degree and conductor, resultants of dense operands with entries in
+[-99, 99] (degree 8 and 16 at conductors 1, 3 and 12, and degree 32 at
+conductor 1), the numeric layer (Lyapunov estimates at depth 24 and breadth 128 on T_3 and
 a Lattes map, cycle exponents of z^2 - 1 up to period 4), multiplier
 spectra (both survey Lattes maps at n = 2; z^2, T_2, T_3 and
 (z^3 + 1)/(z^2 + 3) at n = 3), and a fixed pure-Python reference loop,
@@ -26,6 +28,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -74,6 +77,32 @@ def _machine() -> dict:
     return {"python": platform.python_version(), "machine": platform.machine(),
             "system": platform.platform(), "cpus": os.cpu_count(),
             "commit": commit, "src_lines": lines}
+
+
+STARTUP = {"import_commdyn_cli": ["-c", "import commdyn.cli"],
+           "gen_chebyshev_3": ["-m", "commdyn.cli", "gen", "chebyshev", "3"]}
+
+
+def _startup() -> dict:
+    """Median wall time of 7 fresh processes each, and whether numpy was imported."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run(*args):
+        return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, check=True,
+                              capture_output=True, text=True)
+
+    out = {}
+    for name, args in STARTUP.items():
+        times = []
+        for _ in range(7):
+            start = time.perf_counter()
+            run(*args)
+            times.append(time.perf_counter() - start)
+        out[f"{name}.s"] = statistics.median(times)
+        imported = run("-X", "importtime", *args).stderr.splitlines()
+        out[f"{name}.numpy_loaded"] = any(line.rsplit("|", 1)[-1].strip() == "numpy"
+                                          for line in imported)
+    return out
 
 
 def _golden_seconds() -> float:
@@ -172,6 +201,7 @@ def main(argv=None) -> int:
     from perfbench import micro
 
     report = {"machine": _machine(), "reference_loop_s": [_reference_loop()]}
+    report["startup"] = _startup()
     report["golden_s"] = _golden_seconds()
     report["criteria_s"] = _criteria()
     report["micro"] = {name: {"value": value, "unit": unit}

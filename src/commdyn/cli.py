@@ -191,12 +191,20 @@ def _load_orbit_points(arg: str, config: RunConfig):
 # -- command handlers --------------------------------------------------------
 
 
+def _check_gen_degree(degree: int, config: RunConfig) -> None:
+    """Refuse a constructor whose output degree passes the cap, before building it."""
+    if degree > config.degree_cap:
+        raise BudgetError(f"map of degree {degree} exceeds cap {config.degree_cap}")
+
+
 def _cmd_gen_chebyshev(args, config):
+    _check_gen_degree(args.d, config)
     t = _within_field(chebyshev(args.d, args.sign), config)
     return {"map": str(t), "degree": t.degree}, 0
 
 
 def _cmd_gen_power(args, config):
+    _check_gen_degree(args.d, config)
     f = _within_field(power_map(args.d, inverse=args.inverse,
                                 unity_order=args.zeta,
                                 unity_exponent=args.exponent), config)
@@ -204,6 +212,7 @@ def _cmd_gen_power(args, config):
 
 
 def _cmd_gen_lattes(args, config):
+    _check_gen_degree(max(args.m, 0) ** 2, config)  # m < 1 is a precondition error
     f = _within_field(lattes_flexible(args.m, _load_scalar(args.a, config),
                                       _load_scalar(args.b, config)), config)
     return {"map": str(f), "degree": f.degree}, 0

@@ -9,12 +9,12 @@ single starting point with floating-point root extraction and serves as a
 cross-check on the algebraic closure.  Its fibers and images, and those of
 the exponent probes, come from one float view of a map (`_FloatView`):
 the complex coefficients are computed once per map, and one rule puts a
-preimage at infinity whenever a fiber drops degree.
+preimage at infinity whenever a fiber drops degree.  numpy is imported
+there, on first use, so the exact part of the module loads without it.
 """
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     BudgetError,
@@ -157,6 +157,7 @@ def _np_roots(coeffs_low_to_high: list[complex]) -> list[complex]:
         trimmed.pop()
     if len(trimmed) <= 1:
         return []
+    import numpy as np
     return list(np.roots(trimmed[::-1]))
 
 
@@ -198,6 +199,7 @@ class _FloatView:
         """Evaluate at a complex point; None encodes the point at infinity."""
         if z is None:
             return self._at_infinity
+        import numpy as np
         nv = np.polyval(self.num[::-1], z)
         dv = np.polyval(self.den[::-1], z)
         if abs(dv) < 1e-13 * max(1.0, abs(nv)):
@@ -210,10 +212,10 @@ def _chordal(p, q) -> float:
     if p is None and q is None:
         return 0.0
     if p is None:
-        return 1.0 / np.sqrt(1.0 + abs(q) ** 2)
+        return 1.0 / math.sqrt(1.0 + abs(q) ** 2)
     if q is None:
-        return 1.0 / np.sqrt(1.0 + abs(p) ** 2)
-    return abs(p - q) / np.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2))
+        return 1.0 / math.sqrt(1.0 + abs(p) ** 2)
+    return abs(p - q) / math.sqrt((1.0 + abs(p) ** 2) * (1.0 + abs(q) ** 2))
 
 
 def point_orbit(c: Correspondence, z0: complex, budget: int = 64,

@@ -10,14 +10,14 @@ telescopes exactly around a cycle.  The error bar of a Lyapunov estimate
 is the closed-form standard error of a mean, sigma / sqrt(n) with the
 divisor-n deviation: the limit of a bootstrap as its resamples grow
 (Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 5).
+numpy (roots, polynomial values, products) is imported on first use, so
+importing this module, and the CLI, does not load it.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .correspondence import _chordal, _FloatView, _np_roots
 from .errors import PreconditionError
@@ -30,6 +30,7 @@ def _derivative(asc: list[complex]) -> list[complex]:
 
 
 def _pv(asc: list[complex], z: complex) -> complex:
+    import numpy as np
     return complex(np.polyval(list(asc)[::-1], z))
 
 
@@ -51,6 +52,7 @@ class _SphericalNorm:
 
     @staticmethod
     def _wronskian(p: list[complex], q: list[complex]) -> list[complex]:
+        import numpy as np
         left = np.convolve(_derivative(p), q)
         right = np.convolve(p, _derivative(q))
         width = max(len(left), len(right))

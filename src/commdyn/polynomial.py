@@ -366,7 +366,13 @@ def _subresultant_last(a: list, b: list, one) -> tuple[list, list, object, int]:
         if len(A) % 2 == len(B) % 2 == 0:
             sign = -sign
         beta = g * _ring_pow(h, delta, one)
-        A, B = B, R if beta == one else [c.exact_div(beta) for c in R]
+        if beta != one:
+            if isinstance(beta, FieldElement):  # one inverse per step, not per coefficient
+                inverse = beta.inverse()
+                R = [c * inverse for c in R]
+            else:
+                R = [c.exact_div(beta) for c in R]
+        A, B = B, R
         g = A[-1]
         if delta == 1:
             h = g

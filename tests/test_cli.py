@@ -4,6 +4,10 @@ handling, report formats, and the golden gate plumbing."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +92,15 @@ class TestGenCommands:
         emitted = json.loads(out)["map"]
         from commdyn.exceptional import chebyshev
         assert parse_map(emitted) == chebyshev(5)
+
+    @pytest.mark.parametrize("argv", [["lattes", "80", "0", "1"], ["chebyshev", "5001"],
+                                      ["power", "5001"]])
+    def test_degree_cap_before_building(self, capsys, argv):
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "gen", *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert err.startswith("budget exceeded") and "\n" not in err
 
 
 class TestExitCodes:
@@ -291,6 +304,45 @@ class TestOneValidationPoint:
                                str(cfg))
         assert code == 2
         assert "unknown key" in err
+
+
+class TestStartup:
+    """numpy is imported on first use, so exact commands start without it.
+
+    Each check runs in a fresh interpreter: this one has numpy loaded."""
+
+    SCRIPT = """
+import runpy, sys
+sys.argv = ["commdyn"] + {argv!r}
+try:
+    runpy.run_module("commdyn.cli", run_name="__main__")
+except SystemExit as exc:
+    print("exit", exc.code, "numpy", "numpy" in sys.modules)
+"""
+
+    @staticmethod
+    def _fresh(script):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+        return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+
+    def test_import_leaves_numpy_out(self):
+        run = self._fresh("import sys, commdyn, commdyn.cli\n"
+                          "print('numpy' in sys.modules)")
+        assert run.stdout.strip() == "False", run.stderr
+
+    @pytest.mark.parametrize("argv", [["gen", "chebyshev", "3"], ["golden", "--list"]])
+    def test_exact_commands_leave_numpy_out(self, argv):
+        run = self._fresh(self.SCRIPT.format(argv=argv))
+        assert run.stdout.splitlines()[-1] == "exit 0 numpy False", run.stderr
+
+    def test_numeric_command_loads_numpy(self):
+        argv = ["exp", "lyapunov", "z^2", "--depth", "4", "--breadth", "8", "--seed", "1"]
+        run = self._fresh(self.SCRIPT.format(argv=argv))
+        assert run.stdout.splitlines() == [
+            "value: 0.6859700666136878", "std_error: 0.00107381951844919",
+            "depth: 4", "breadth: 8", "seed: 1", "exit 0 numpy True"], run.stderr
 
 
 # -- fuzzing -----------------------------------------------------------------
