@@ -12,7 +12,11 @@ numpy), the wall time of `commdyn golden`, acceptance criteria 02, 06,
 degree and conductor, resultants of dense operands with entries in
 [-99, 99] (degree 8 and 16 at conductors 1, 3 and 12, and degree 32 at
 conductor 1), the numeric layer (Lyapunov estimates at depth 24 and breadth 128 on T_3 and
-a Lattes map, cycle exponents of z^2 - 1 up to period 4), multiplier
+a Lattes map; cycle exponents of z^2 - 1 and z^2 up to period 4 and of the
+survey cubic (3z^3 + z^2 + 2z - 4)/(-4z^3 + 3z^2 + 1) up to period 3; the
+survey's tail query, exceptionality_probe of both survey Lattes maps up
+to period 3 at depth 24 and breadth 128), the constructors chebyshev(1000)
+and lattes_flexible(10, 0, 1), multiplier
 spectra (both survey Lattes maps at n = 2; z^2, T_2, T_3 and
 (z^3 + 1)/(z^2 + 3) at n = 3), and a fixed pure-Python reference loop,
 timed before and after the rest, so that a slower machine can be told
@@ -169,7 +173,10 @@ def _numeric() -> dict:
 
     t3 = cd.chebyshev(3)
     lattes = cd.lattes_flexible(2, cd.rational(0), cd.rational(1))
+    lattes_m1_0 = cd.lattes_flexible(2, cd.rational(-1), cd.rational(0))
     basilica = cd.parse_map("z^2 - 1")
+    square = cd.parse_map("z^2")
+    cubic = cd.parse_map("(3*z^3 + z^2 + 2*z - 4)/(-4*z^3 + 3*z^2 + 1)")
     return {
         "lyapunov_estimate.T3.d24.b128.s": _best(
             lambda: cd.lyapunov_estimate(t3, depth=24, breadth=128), 1, 3),
@@ -177,7 +184,23 @@ def _numeric() -> dict:
             lambda: cd.lyapunov_estimate(lattes, depth=24, breadth=128), 1, 3),
         "characteristic_exponents.z2_minus_1.n4.s": _best(
             lambda: cd.characteristic_exponents(basilica, 4), 1, 3),
+        "characteristic_exponents.z2.n4.s": _best(
+            lambda: cd.characteristic_exponents(square, 4), 1, 3),
+        "characteristic_exponents.survey_cubic.n3.s": _best(
+            lambda: cd.characteristic_exponents(cubic, 3), 1, 3),
+        "exceptionality_probe.lattes_0_1.n3.d24.b128.s": _best(
+            lambda: cd.exceptionality_probe(lattes, n_max=3, depth=24, breadth=128), 1, 3),
+        "exceptionality_probe.lattes_m1_0.n3.d24.b128.s": _best(
+            lambda: cd.exceptionality_probe(lattes_m1_0, n_max=3, depth=24, breadth=128),
+            1, 3),
     }
+
+
+def _constructors() -> dict:
+    import commdyn as cd
+
+    return {"chebyshev.d1000.s": _best(lambda: cd.chebyshev(1000), 1, 3),
+            "lattes_flexible.m10.s": _best(lambda: cd.lattes_flexible(10, 0, 1), 1, 3)}
 
 
 def _spectra() -> dict:
@@ -209,6 +232,7 @@ def main(argv=None) -> int:
     report["polynomial_mul"] = _polynomial_products()
     report["resultant"] = _resultants()
     report["numeric"] = _numeric()
+    report["constructors"] = _constructors()
     report["spectra"] = _spectra()
     report["reference_loop_s"].append(_reference_loop())
     with open(out, "w") as fh:

@@ -9,8 +9,12 @@ single starting point with floating-point root extraction and serves as a
 cross-check on the algebraic closure.  Its fibers and images, and those of
 the exponent probes, come from one float view of a map (`_FloatView`):
 the complex coefficients are computed once per map, and one rule puts a
-preimage at infinity whenever a fiber drops degree.  numpy is imported
-there, on first use, so the exact part of the module loads without it.
+preimage at infinity whenever a fiber drops degree.  Roots come from one
+entry point, `_np_roots`, which takes a whole pullback level of fibers at
+once and runs one `np.linalg.eigvals` per degree over stacked companion
+matrices, with the same roots, in the same order, as one `np.roots` per
+fiber.  numpy is imported there, on first use, so the exact part of the
+module loads without it.
 """
 
 import math
@@ -151,14 +155,46 @@ def orbit_closure(c: Correspondence, k_max: int = 64,
         last_union=union)
 
 
-def _np_roots(coeffs_low_to_high: list[complex]) -> list[complex]:
-    trimmed = list(coeffs_low_to_high)
-    while trimmed and abs(trimmed[-1]) < 1e-13:
-        trimmed.pop()
-    if len(trimmed) <= 1:
-        return []
+# one eigvals call stacks at most this many matrix entries (4 MB of
+# complex128), so a wide cloud of high-degree fibers is split into chunks
+_STACK_ENTRIES = 1 << 18
+
+
+def _np_roots(rows: list[list[complex]]) -> list[list[complex]]:
+    """Roots of each coefficient row (low to high), one list per row.
+
+    Each list equals what np.roots returns for the row: top coefficients
+    below 1e-13 are trimmed first, and a row with at most one coefficient
+    left has no roots.  Rows of one degree share one np.linalg.eigvals
+    call over their stacked companion matrices, built as np.roots builds
+    them (first row -p[1:] / p[0], ones below the diagonal).  A row with
+    an exact-zero constant term goes through np.roots itself, which
+    splits off its roots at zero.
+    """
     import numpy as np
-    return list(np.roots(trimmed[::-1]))
+    roots: list[list[complex]] = [[] for _ in rows]
+    by_degree: dict[int, list[tuple[int, list[complex]]]] = {}
+    for i, row in enumerate(rows):
+        trimmed = list(row)
+        while trimmed and abs(trimmed[-1]) < 1e-13:
+            trimmed.pop()
+        if len(trimmed) <= 1:
+            continue
+        if trimmed[0] == 0:
+            roots[i] = list(np.roots(trimmed[::-1]))
+        else:
+            by_degree.setdefault(len(trimmed) - 1, []).append((i, trimmed[::-1]))
+    for degree, group in by_degree.items():
+        step = max(1, _STACK_ENTRIES // degree ** 2)
+        for start in range(0, len(group), step):
+            chunk = group[start:start + step]
+            p = np.array([high_to_low for _, high_to_low in chunk])
+            companion = np.zeros((len(chunk), degree, degree), dtype=p.dtype)
+            companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+            companion[:, range(1, degree), range(degree - 1)] = 1
+            for (i, _), eigenvalues in zip(chunk, np.linalg.eigvals(companion)):
+                roots[i] = list(eigenvalues)
+    return roots
 
 
 _BIG = 1e9
@@ -181,19 +217,23 @@ class _FloatView:
         self._at_infinity = (None if dn > dd else 0.0j if dn < dd
                              else num[-1] / den[-1])
 
-    def preimages(self, value):
-        """The fiber over value (None is infinity), as roots of num - value * den.
+    def preimages(self, values) -> list:
+        """The fibers over values (None is infinity), fiber after fiber.
 
-        A dropped degree means that one preimage branch sits at infinity.
+        The fiber over v holds the roots of num - v * den; a dropped
+        degree means that one preimage branch sits at infinity.  Each
+        row is built in Python complex arithmetic, and all rows go to
+        one _np_roots call.
         """
-        if value is None:
-            fiber = self.den
-        else:
-            fiber = [a - value * b for a, b in zip(self.num, self.den)]
-        roots = _np_roots(fiber)
-        if len(roots) < self.degree:
-            roots.append(None)
-        return roots
+        rows = [self.den if v is None
+                else [a - v * b for a, b in zip(self.num, self.den)]
+                for v in values]
+        pool = []
+        for roots in _np_roots(rows):
+            pool.extend(roots)
+            if len(roots) < self.degree:
+                pool.append(None)
+        return pool
 
     def image(self, z):
         """Evaluate at a complex point; None encodes the point at infinity."""
@@ -231,12 +271,11 @@ def point_orbit(c: Correspondence, z0: complex, budget: int = 64,
     a, b = _FloatView(c.a), _FloatView(c.b)
     while True:
         added = False
-        for pt in list(points):
-            for root in a.preimages(pt):
-                image = b.image(root)
-                if all(_chordal(image, known) > tol for known in points):
-                    points.append(image)
-                    added = True
+        for root in a.preimages(points):
+            image = b.image(root)
+            if all(_chordal(image, known) > tol for known in points):
+                points.append(image)
+                added = True
         if not added:
             return points
         if len(points) > budget:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import PreconditionError
 from .exactfield import FieldElement, rational, zeta
@@ -35,20 +36,18 @@ _ONE = FieldElement.one()
 def chebyshev(d: int, sign: int = 1) -> RationalMap:
     """The degree-d Chebyshev-normalized polynomial, or its negative.
 
-    Three-term recursion from t0 = 2, t1 = z:  t_{d+1} = z*t_d - t_{d-1},
-    which pins t2 = z^2 - 2.
+    The Dickson polynomial D_d(z, 1), built from its integer coefficients:
+    t_d = sum over k <= d/2 of (-1)^k d/(d-k) C(d-k, k) z^(d-2k).  It
+    satisfies t_{d+1} = z*t_d - t_{d-1} from t0 = 2, t1 = z, so t2 = z^2 - 2.
     """
     if d < 1:
         raise PreconditionError("degree must be at least one")
     if sign not in (1, -1):
         raise PreconditionError("sign must be +1 or -1")
-    prev = Polynomial.from_ints([2])
-    cur = Polynomial.variable()
-    for _ in range(d - 1):
-        prev, cur = cur, Polynomial.variable() * cur - prev
-    if sign == -1:
-        cur = -cur
-    return RationalMap.polynomial_map(cur)
+    coeffs = [0] * (d + 1)
+    for k in range(d // 2 + 1):
+        coeffs[d - 2 * k] = sign * (-1) ** k * d * comb(d - k, k) // (d - k)
+    return RationalMap.polynomial_map(Polynomial.from_ints(coeffs))
 
 
 def verify_chebyshev_semiconjugacy(d: int) -> bool:
@@ -258,7 +257,9 @@ def lattes_flexible(m: int, a, b) -> RationalMap:
     else:
         num = x * p[m] ** 2 * e - p[m + 1] * p[m - 1]
         den = p[m] ** 2 * e
-    result = RationalMap(num, den)
+    # on a nonsingular curve phi_m and psi_m^2 are coprime (Silverman,
+    # The Arithmetic of Elliptic Curves, Exercise 3.7), so no gcd is taken
+    result = RationalMap._from_coprime(num, den)
     if result.degree != m * m:
         raise PreconditionError("degree drop: the curve data is degenerate")
     return result

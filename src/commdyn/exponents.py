@@ -10,8 +10,11 @@ telescopes exactly around a cycle.  The error bar of a Lyapunov estimate
 is the closed-form standard error of a mean, sigma / sqrt(n) with the
 divisor-n deviation: the limit of a bootstrap as its resamples grow
 (Efron and Tibshirani, *An Introduction to the Bootstrap*, 1993, ch. 5).
-numpy (roots, polynomial values, products) is imported on first use, so
-importing this module, and the CLI, does not load it.
+The work goes by pullback level: each level's preimages come from one
+root call (one eigenvalue problem per degree), and each level's norms,
+like the norms around one cycle, from one `np.polyval` per chart and
+polynomial, finished per point in Python floats.  numpy is imported on
+first use, so importing this module, and the CLI, does not load it.
 """
 
 import math
@@ -29,11 +32,6 @@ def _derivative(asc: list[complex]) -> list[complex]:
     return [i * c for i, c in enumerate(asc)][1:] or [0.0j]
 
 
-def _pv(asc: list[complex], z: complex) -> complex:
-    import numpy as np
-    return complex(np.polyval(list(asc)[::-1], z))
-
-
 class _SphericalNorm:
     """Norm of the differential in the round metric, chart-switched.
 
@@ -46,9 +44,10 @@ class _SphericalNorm:
 
     def __init__(self, view: _FloatView):
         p, q = view.num, view.den
-        self._direct = (p, q, self._wronskian(p, q))
         rp, rq = q[::-1], p[::-1]
-        self._inverted = (rp, rq, self._wronskian(rp, rq))
+        # chart 0 is the direct one, chart 1 the inverted one
+        self._charts = ((p, q, self._wronskian(p, q)),
+                        (rp, rq, self._wronskian(rp, rq)))
 
     @staticmethod
     def _wronskian(p: list[complex], q: list[complex]) -> list[complex]:
@@ -59,18 +58,26 @@ class _SphericalNorm:
         return list(np.append(left, [0.0j] * (width - len(left)))
                     - np.append(right, [0.0j] * (width - len(right))))
 
-    def value(self, z: Optional[complex]) -> float:
-        if z is None:
-            num, den, wron = self._inverted
-            w = 0.0j
-        elif abs(z) <= 1.0:
-            num, den, wron = self._direct
-            w = z
-        else:
-            num, den, wron = self._inverted
-            w = 1.0 / z
-        scale = abs(_pv(num, w)) ** 2 + abs(_pv(den, w)) ** 2
-        return abs(_pv(wron, w)) * (1.0 + abs(w) ** 2) / scale
+    def values(self, points: list[Optional[complex]]) -> list[float]:
+        """The norm at each point; None is infinity.
+
+        The chart and its coordinate w are chosen per point, each chart
+        polynomial is evaluated by one np.polyval over the chart's
+        points, and the quotient is finished per point in Python floats.
+        """
+        import numpy as np
+        picks = [(1, 0.0j) if z is None else (0, z) if abs(z) <= 1.0 else (1, 1.0 / z)
+                 for z in points]
+        columns = []
+        for index, chart in enumerate(self._charts):
+            ws = [w for i, w in picks if i == index]
+            columns.append(zip(*(np.polyval(c[::-1], ws).tolist() for c in chart))
+                           if ws else None)
+        out = []
+        for index, w in picks:
+            p, q, wron = next(columns[index])
+            out.append(abs(wron) * (1.0 + abs(w) ** 2) / (abs(p) ** 2 + abs(q) ** 2))
+        return out
 
 
 def spherical_derivative_norm(f: RationalMap, z: Optional[complex]) -> float:
@@ -78,7 +85,7 @@ def spherical_derivative_norm(f: RationalMap, z: Optional[complex]) -> float:
 
     z may be any complex number or None for the point at infinity.
     """
-    return _SphericalNorm(_FloatView(f)).value(None if z is None else complex(z))
+    return _SphericalNorm(_FloatView(f)).values([None if z is None else complex(z)])[0]
 
 
 @dataclass(frozen=True)
@@ -114,15 +121,10 @@ def lyapunov_estimate(f: RationalMap, depth: int = 24, breadth: int = 256,
     burn_in = depth // 2
     samples: list[float] = []
     for level in range(1, depth + 1):
-        pool: list[Optional[complex]] = []
-        for pt in cloud:
-            pool.extend(view.preimages(pt))
+        pool = view.preimages(cloud)
         cloud = rng.sample(pool, breadth) if len(pool) > breadth else pool
         if level > burn_in:
-            for pt in cloud:
-                v = norm.value(pt)
-                if v > 1e-100:
-                    samples.append(math.log(v))
+            samples.extend(math.log(v) for v in norm.values(cloud) if v > 1e-100)
     n = len(samples)
     mean = math.fsum(samples) / n
     spread = math.sqrt(math.fsum((s - mean) ** 2 for s in samples) / n)
@@ -155,7 +157,7 @@ def _cycle_survey(f: RationalMap, n_max: int) -> tuple[list[CycleReport], int]:
     skipped = 0
     for n in range(1, n_max + 1):
         spec = exact_period_polynomial(f, n)
-        pool: list[Optional[complex]] = _np_roots(spec.phi.complex_coeffs())
+        pool: list[Optional[complex]] = _np_roots([spec.phi.complex_coeffs()])[0]
         if spec.infinity_is_periodic:
             pool.append(None)
         while pool:
@@ -178,8 +180,8 @@ def _cycle_survey(f: RationalMap, n_max: int) -> tuple[list[CycleReport], int]:
                 if best is not None and best[1] < _MATCH_TOL:
                     pool.pop(best[0])
             modulus = 1.0
-            for member in orbit:
-                modulus *= norm.value(member)
+            for value in norm.values(orbit):
+                modulus *= value
             chi = math.log(modulus) / n if modulus > _SUPER_EPS else float("-inf")
             reports.append(CycleReport(period=n, representative=z0,
                                        multiplier_modulus=modulus, chi=chi))

@@ -32,6 +32,22 @@ def test_chebyshev_small_degrees():
     assert chebyshev(3, sign=-1) == parse_map("3*z - z^3")
 
 
+def _chebyshev_recurrence(d, sign):
+    """t_{d+1} = z*t_d - t_{d-1} from t0 = 2, t1 = z: the oracle of the closed form."""
+    prev, cur = Polynomial.from_ints([2]), Polynomial.variable()
+    for _ in range(d - 1):
+        prev, cur = cur, Polynomial.variable() * cur - prev
+    return RationalMap.polynomial_map(-cur if sign == -1 else cur)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_chebyshev_matches_recurrence(sign):
+    for d in list(range(1, 30)) + [64]:
+        want = _chebyshev_recurrence(d, sign)
+        got = chebyshev(d, sign)
+        assert got == want and str(got) == str(want), d
+
+
 def test_chebyshev_rejects_bad_arguments():
     with pytest.raises(PreconditionError):
         chebyshev(0)
@@ -187,6 +203,18 @@ def test_lattes_two_torsion_goes_to_infinity():
 def test_lattes_multiplications_commute():
     a, b = rational(-1), rational(4)
     assert lattes_flexible(2, a, b).commutes(lattes_flexible(3, a, b))
+
+
+@pytest.mark.parametrize("a,b", [
+    (rational(0), rational(1)), (rational(-1), rational(0)), (rational(2), rational(-3)),
+    (zeta(4), rational(1)), (zeta(3), zeta(3) + rational(1)),
+])
+def test_lattes_needs_no_lowest_terms_gcd(a, b):
+    # phi_m and psi_m^2 are coprime on a nonsingular curve, so reducing
+    # the built map by a gcd changes nothing
+    for m in range(2, 6):
+        f = lattes_flexible(m, a, b)
+        assert f == RationalMap(f.num, f.den)
 
 
 def test_lattes_rejects_singular_curve():

@@ -1,11 +1,17 @@
-"""Graph curves, orbit closures, and orbit-size bound reports."""
+"""Graph curves, orbit closures, orbit-size bound reports, and the float layer."""
 
+import random
+
+import numpy as np
 import pytest
 
+from commdyn import correspondence
 from commdyn.correspondence import (
     BoundReport,
     Correspondence,
     GraphCurve,
+    _FloatView,
+    _np_roots,
     compose_graphs,
     diagonal_graph,
     graph,
@@ -165,6 +171,67 @@ class TestPointOrbit:
         c = Correspondence(parse_map("z"), parse_map("z + 1"))
         with pytest.raises(BudgetError):
             point_orbit(c, 0.0, budget=10)
+
+
+def _roots_oracle(row):
+    """np.roots on one row (low to high), trimmed as the float layer trims it."""
+    trimmed = list(row)
+    while trimmed and abs(trimmed[-1]) < 1e-13:
+        trimmed.pop()
+    return list(np.roots(trimmed[::-1])) if len(trimmed) > 1 else []
+
+
+def _fiber_oracle(view, value):
+    row = view.den if value is None else [a - value * b for a, b in zip(view.num, view.den)]
+    roots = _roots_oracle(row)
+    return roots + [None] if len(roots) < view.degree else roots
+
+
+def _same(got, want):
+    """Equal values in the same order, with the same element types."""
+    return len(got) == len(want) and all(
+        type(g) is type(w) and g == w for g, w in zip(got, want))
+
+
+class TestBatchedRoots:
+    MIXED_ROWS = [
+        [1 + 2j, -0.5j, 3 + 0j],
+        [2 + 0j, 1 - 1j, 0.25 + 0j, 1 + 0j],
+        [0.5 - 1j, 2j, -1 + 0j],  # the first row's degree: one shared eigvals call
+        [1 + 0j, 2 + 0j, 1e-15 + 0j],  # dropped degree: trimmed to a linear row
+        [0j, 1 + 1j, 2 + 0j],  # exact-zero constant term: a root at zero
+        [3 + 0j],  # constant row
+        [],
+        [1e-14 + 0j, 0j],  # trimmed to nothing
+        [np.complex128(-1 + 0.5j), 0.3 + 0j, -2j, 0.7 + 0j, 1 + 0j, 0.1 - 0.2j],
+    ]
+
+    def test_mixed_rows_match_np_roots(self):
+        got = _np_roots(self.MIXED_ROWS)
+        assert len(got) == len(self.MIXED_ROWS)
+        for roots, row in zip(got, self.MIXED_ROWS):
+            assert _same(roots, _roots_oracle(row)), row
+
+    @pytest.mark.parametrize("stack_entries", [1 << 18, 40])
+    def test_random_rows_match_np_roots(self, stack_entries, monkeypatch):
+        # a small stack bound splits each degree's rows into many chunks
+        monkeypatch.setattr(correspondence, "_STACK_ENTRIES", stack_entries)
+        rng = random.Random(3)
+        rows = [[complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+                 for _ in range(rng.randint(1, 8))] for _ in range(300)]
+        for roots, row in zip(_np_roots(rows), rows):
+            assert _same(roots, _roots_oracle(row))
+
+    @pytest.mark.parametrize("text", ["(2*z^2 + z)/(z^2 - 1)", "z^2 - 1",
+                                      "(1/4*z^4 - 2*z)/(z^3 + 1)"])
+    def test_preimages_match_per_point_fibers(self, text):
+        # over 2 the first map's fiber drops to degree one, over 0 its
+        # constant term vanishes, and the fiber over infinity (None) is
+        # the denominator's roots, or a constant row for the polynomial
+        view = _FloatView(parse_map(text))
+        cloud = [None, 2 + 0j, 0j, 0.3 + 0.1j, np.complex128(-3 + 2j), 1.5 - 0.5j]
+        want = [root for value in cloud for root in _fiber_oracle(view, value)]
+        assert _same(view.preimages(cloud), want)
 
 
 class TestBoundReports:

@@ -1,13 +1,18 @@
 """Tests for spherical derivative norms, Lyapunov estimates, and cycle exponents."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
+from commdyn.correspondence import _FloatView
 from commdyn.errors import PreconditionError
+from commdyn.exceptional import chebyshev, lattes_flexible
 from commdyn.exponents import (
     CycleReport,
     LyapunovEstimate,
+    _SphericalNorm,
     characteristic_exponents,
     exceptionality_probe,
     lyapunov_estimate,
@@ -53,6 +58,73 @@ class TestSphericalNorm:
         # f(z)=z^2 behaves like w -> w^2 near infinity in the inverted chart
         big = spherical_derivative_norm(SQUARE, 1e8)
         assert big == pytest.approx(0.0, abs=1e-6)
+
+
+def _norm_oracle(norm, z):
+    """The chart formula at one point, with one 0-d np.polyval per polynomial."""
+    def pv(asc, w):
+        return complex(np.polyval(list(asc)[::-1], w))
+    direct, inverted = norm._charts
+    if z is None:
+        (p, q, wron), w = inverted, 0.0j
+    elif abs(z) <= 1.0:
+        (p, q, wron), w = direct, z
+    else:
+        (p, q, wron), w = inverted, 1.0 / z
+    scale = abs(pv(p, w)) ** 2 + abs(pv(q, w)) ** 2
+    return abs(pv(wron, w)) * (1.0 + abs(w) ** 2) / scale
+
+
+def _fiber_oracle(view, value):
+    """One np.roots call for the fiber over one value, None appended on a degree drop."""
+    row = view.den if value is None else [a - value * b for a, b in zip(view.num, view.den)]
+    while row and abs(row[-1]) < 1e-13:
+        row = row[:-1]
+    roots = list(np.roots(row[::-1])) if len(row) > 1 else []
+    return roots + [None] if len(roots) < view.degree else roots
+
+
+def _lyapunov_reference(f, depth, breadth, seed):
+    """lyapunov_estimate point by point: one fiber and one norm at a time."""
+    rng = random.Random(seed)
+    view = _FloatView(f)
+    norm = _SphericalNorm(view)
+    cloud = [complex(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))]
+    samples = []
+    for level in range(1, depth + 1):
+        pool = [root for pt in cloud for root in _fiber_oracle(view, pt)]
+        cloud = rng.sample(pool, breadth) if len(pool) > breadth else pool
+        if level > depth // 2:
+            for pt in cloud:
+                v = _norm_oracle(norm, pt)
+                if v > 1e-100:
+                    samples.append(math.log(v))
+    n = len(samples)
+    mean = math.fsum(samples) / n
+    spread = math.sqrt(math.fsum((s - mean) ** 2 for s in samples) / n)
+    return LyapunovEstimate(value=mean, std_error=spread / math.sqrt(n),
+                            depth=depth, breadth=breadth, seed=seed)
+
+
+class TestBatchedNorms:
+    @pytest.mark.parametrize("text", ["z^2", "z^2 - 1", "1/z^2",
+                                      "(z^3 + 2*z - 1)/(3*z^3 - z + 5)"])
+    def test_values_match_chart_formula(self, text):
+        # points on both sides of |z| = 1, on the circle, at 0 and at infinity
+        norm = _SphericalNorm(_FloatView(parse_map(text)))
+        points = [None, 0j, 1 + 0j, 0.3 - 0.4j, -2 + 1j, np.complex128(0.1 + 0.9j),
+                  np.complex128(5 - 3j), 1e8 + 0j, None, 0.6 + 0.8j]
+        got = norm.values(points)
+        want = [_norm_oracle(norm, z) for z in points]
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want]
+
+    @pytest.mark.parametrize("f", [SQUARE, chebyshev(3), lattes_flexible(2, 0, 1),
+                                   parse_map("1/z^2")],
+                             ids=["z^2", "T3", "lattes", "1/z^2"])
+    def test_lyapunov_matches_point_by_point_loop(self, f):
+        for seed in (7, 31):
+            assert repr(lyapunov_estimate(f, depth=12, breadth=64, seed=seed)) \
+                == repr(_lyapunov_reference(f, 12, 64, seed))
 
 
 class TestLyapunovEstimate:
