@@ -10,8 +10,10 @@ reporting closure sizes and the induced permutation structure.
 import argparse
 
 from commdyn import (
+    Budget,
     Correspondence,
     action_table,
+    limits,
     orbit,
     orbit_closure,
     parse_map,
@@ -42,15 +44,19 @@ def main() -> None:
     parser.add_argument("--budget", type=int, default=2000,
                         help="orbit point budget")
     args = parser.parse_args()
+    with limits(Budget(degree_cap=args.degree_cap, orbit_budget=args.budget,
+                       kmax=args.kmax)):
+        census(args.kmax)
 
+
+def census(kmax: int) -> None:
     print("== correspondence closures ==")
     for label, a_text, b_text in CORRESPONDENCE_PANEL:
         c = Correspondence(parse_map(a_text), parse_map(b_text))
         try:
-            union, size = orbit_closure(c, k_max=args.kmax,
-                                        degree_cap=args.degree_cap)
+            union, size = orbit_closure(c)
         except NotStabilizedError:
-            print(f"  {label}: did not stabilize within k_max = {args.kmax}")
+            print(f"  {label}: did not stabilize within kmax = {kmax}")
             continue
         except BudgetError as exc:
             print(f"  {label}: {exc}")
@@ -62,7 +68,7 @@ def main() -> None:
     for label, gen_texts, start_text in ORBIT_PANEL:
         gens = [parse_map(t) for t in gen_texts]
         start = parse_point(start_text)
-        run = orbit(gens, start, budget=args.budget)
+        run = orbit(gens, start)
         line = f"  {label}: start {start_text}, {len(run)} points, {run.status}"
         if run.closed:
             rows = action_table(gens, run.points)

@@ -1,5 +1,6 @@
 """Exact and numeric tools for commuting rational maps on the projective line."""
 
+from .budget import Budget, limits
 from .correspondence import (
     BoundReport,
     Correspondence,

@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .budget import Budget, limits
 from .correspondence import Correspondence, graph, orbit_closure, verify_lemma4
 from .errors import (
     BudgetError,
@@ -45,28 +46,24 @@ FORMATS = ("text", "structured")
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Budget):
     """Run-wide knobs shared by every subcommand.
 
-    conductor caps the cyclotomic order accepted in input scalars;
-    degree_cap bounds iterate degrees; the budgets bound decomposition
-    steps, explored orbit points, and closure iterations.  Numeric
-    settings feed the exponent estimators.
+    The four caps come from Budget; main runs every handler under
+    limits(config), so they bound every command.  conductor caps the
+    cyclotomic order accepted in input scalars; numeric settings feed
+    the exponent estimators.
     """
 
     conductor: int = CONDUCTOR_CAP
-    degree_cap: int = 5000
-    ritt_steps: int = 32
-    orbit_budget: int = 10_000
-    kmax: int = 64
     depth: int = 24
     breadth: int = 256
     seed: int = 0
     format: str = "text"
 
     def __post_init__(self):
-        for name in ("conductor", "degree_cap", "ritt_steps",
-                     "orbit_budget", "kmax", "depth", "breadth"):
+        super().__post_init__()
+        for name in ("conductor", "depth", "breadth"):
             if getattr(self, name) < 1:
                 raise PreconditionError(f"{name} must be positive")
         if self.format not in FORMATS:
@@ -145,12 +142,12 @@ def _within_field(f: RationalMap, config: RunConfig) -> RationalMap:
 
 
 def _load_map(arg: str, config: RunConfig) -> RationalMap:
-    f = parse_map(_read_or_inline(arg), degree_cap=config.degree_cap)
+    f = parse_map(_read_or_inline(arg))
     return _within_field(f, config)
 
 
 def _load_scalar(arg: str, config: RunConfig):
-    value = parse_point(arg, config.degree_cap)
+    value = parse_point(arg)
     if is_inf(value):
         raise PreconditionError("expected a finite scalar")
     return value
@@ -185,26 +182,18 @@ def _load_orbit_points(arg: str, config: RunConfig):
                    if line.strip()]
     if not entries:
         raise InputParseError("no orbit points found")
-    return [parse_point(entry, config.degree_cap) for entry in entries]
+    return [parse_point(entry) for entry in entries]
 
 
 # -- command handlers --------------------------------------------------------
 
 
-def _check_gen_degree(degree: int, config: RunConfig) -> None:
-    """Refuse a constructor whose output degree passes the cap, before building it."""
-    if degree > config.degree_cap:
-        raise BudgetError(f"map of degree {degree} exceeds cap {config.degree_cap}")
-
-
 def _cmd_gen_chebyshev(args, config):
-    _check_gen_degree(args.d, config)
     t = _within_field(chebyshev(args.d, args.sign), config)
     return {"map": str(t), "degree": t.degree}, 0
 
 
 def _cmd_gen_power(args, config):
-    _check_gen_degree(args.d, config)
     f = _within_field(power_map(args.d, inverse=args.inverse,
                                 unity_order=args.zeta,
                                 unity_exponent=args.exponent), config)
@@ -212,7 +201,6 @@ def _cmd_gen_power(args, config):
 
 
 def _cmd_gen_lattes(args, config):
-    _check_gen_degree(max(args.m, 0) ** 2, config)  # m < 1 is a precondition error
     f = _within_field(lattes_flexible(args.m, _load_scalar(args.a, config),
                                       _load_scalar(args.b, config)), config)
     return {"map": str(f), "degree": f.degree}, 0
@@ -221,8 +209,7 @@ def _cmd_gen_lattes(args, config):
 def _cmd_ritt_seq(args, config):
     f = _load_map(args.f, config)
     g = _load_map(args.g, config)
-    seq = ritt_sequence(f, g, max_steps=config.ritt_steps,
-                        min_steps=args.min_steps)
+    seq = ritt_sequence(f, g, min_steps=args.min_steps)
     steps = [
         {"index": i, "r": s.r, "outer_degree": s.a.degree,
          "inner_degree": s.u.degree, "pair_degree": s.f_step.degree}
@@ -234,7 +221,7 @@ def _cmd_ritt_seq(args, config):
 def _cmd_ritt_common_iterate(args, config):
     f = _load_map(args.f, config)
     g = _load_map(args.g, config)
-    p = common_iterate_equal_degree(f, g, max_steps=config.ritt_steps)
+    p = common_iterate_equal_degree(f, g)
     return {"p": p, "degree": f.degree ** p}, 0
 
 
@@ -246,15 +233,13 @@ def _cmd_corr_graph(args, config):
 
 def _cmd_corr_closure(args, config):
     c = Correspondence(_load_map(args.a, config), _load_map(args.b, config))
-    union, size = orbit_closure(c, k_max=config.kmax)
+    union, size = orbit_closure(c)
     return {"union": str(union.poly), "bidegree": list(union.bidegree),
             "orbit_size": size}, 0
 
 
 def _cmd_corr_lemma4(args, config):
-    report = verify_lemma4(_load_map(args.f, config),
-                           _load_map(args.g, config),
-                           max_steps=config.ritt_steps)
+    report = verify_lemma4(_load_map(args.f, config), _load_map(args.g, config))
     return {"p": report.p, "d": report.d, "s_c": report.s_c,
             "bound": report.bound, "bound_ok": report.bound_ok}, 0
 
@@ -262,23 +247,22 @@ def _cmd_corr_lemma4(args, config):
 def _cmd_per_poly(args, config):
     f = _load_map(args.f, config)
     if args.exact:
-        spec = exact_period_polynomial(f, args.n, degree_cap=config.degree_cap)
+        spec = exact_period_polynomial(f, args.n)
     else:
-        spec = periodic_polynomial(f, args.n, degree_cap=config.degree_cap)
+        spec = periodic_polynomial(f, args.n)
     return {"polynomial": str(spec.phi), "degree": spec.phi.degree,
             "includes_infinity": spec.infinity_is_periodic}, 0
 
 
 def _cmd_per_multipliers(args, config):
     f = _load_map(args.f, config)
-    poly = multiplier_spectrum(f, args.n, degree_cap=config.degree_cap)
+    poly = multiplier_spectrum(f, args.n)
     return {"polynomial": str(poly), "degree": poly.degree}, 0
 
 
 def _cmd_per_eq2(args, config):
     holds = verify_multiplier_identity(
-        _load_map(args.f, config), _load_map(args.g, config),
-        args.n, args.p, degree_cap=config.degree_cap)
+        _load_map(args.f, config), _load_map(args.g, config), args.n, args.p)
     return {"holds": holds, "n": args.n, "p": args.p}, 0
 
 
@@ -303,8 +287,7 @@ def _cmd_exp_probe(args, config):
 
 def _cmd_orbit_explore(args, config):
     gens = _load_generators(args.generators, config)
-    start = parse_point(args.start, config.degree_cap)
-    run = orbit(gens, start, budget=config.orbit_budget)
+    run = orbit(gens, parse_point(args.start))
     return {"status": run.status, "size": len(run),
             "points": [str(p) for p in run.points]}, 0
 
@@ -321,8 +304,7 @@ def _cmd_orbit_phi(args, config):
 
 def _cmd_identity_eq8(args, config):
     holds = verify_identity_eq8(
-        _load_map(args.g, config), _load_map(args.h, config),
-        args.N, degree_cap=config.degree_cap)
+        _load_map(args.g, config), _load_map(args.h, config), args.N)
     return {"holds": holds, "N": args.N}, 0
 
 
@@ -494,7 +476,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        result, code = args.handler(args, config)
+        with limits(config):
+            result, code = args.handler(args, config)
     except InputParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ module loads without it.
 import math
 from dataclasses import dataclass
 
+from .budget import current
 from .errors import (
     BudgetError,
     DegenerateEliminationError,
@@ -38,7 +39,7 @@ from .ritt import RittSequence, _common_iterate_of_sequence, ritt_sequence
 VAR1 = "x"
 VAR2 = "w"
 
-# curves beyond this total degree are abandoned rather than pushed further
+# curves beyond this total degree (or the run's degree cap, if lower) are abandoned
 _DEGREE_CAP = 400
 
 
@@ -126,16 +127,16 @@ def compose_graphs(outer: GraphCurve, inner: GraphCurve) -> GraphCurve:
     return GraphCurve(r)
 
 
-def orbit_closure(c: Correspondence, k_max: int = 64,
-                  degree_cap: int = _DEGREE_CAP) -> tuple[GraphCurve, int]:
+def orbit_closure(c: Correspondence) -> tuple[GraphCurve, int]:
     """Smallest c-invariant curve through the diagonal, with its valence.
 
     Accumulates the union of the diagonal and all iterated graphs until
     one more iterate adds no new component.  Returns the stabilized curve
     and the number of w-values over a generic x (the generic orbit size).
-    Raises NotStabilizedError if k_max iterations never stabilize, and
-    BudgetError if the curves outgrow degree_cap first.
+    Raises NotStabilizedError if the run's kmax iterations never
+    stabilize, and BudgetError if the curves outgrow the degree cap first.
     """
+    k_max, degree_cap = current().kmax, min(_DEGREE_CAP, current().degree_cap)
     gamma = graph(c)
     power = diagonal_graph()
     union = power.poly
@@ -294,15 +295,14 @@ class BoundReport:
     bound_ok: bool
 
 
-def verify_lemma4(f: RationalMap, g: RationalMap,
-                  max_steps: int = 32) -> BoundReport:
+def verify_lemma4(f: RationalMap, g: RationalMap) -> BoundReport:
     """Check s_c <= p * d^p for the first-step correspondence of (f, g).
 
     p is the common-iterate exponent of the pair, d its degree, and s_c
     the generic orbit size of the correspondence built from the first
     decomposition step's outer pair.
     """
-    seq = ritt_sequence(f, g, max_steps=max_steps)
+    seq = ritt_sequence(f, g)
     p = _common_iterate_of_sequence(f, g, seq)
     step = seq.steps[0]
     _, s_c = orbit_closure(Correspondence(step.a, step.b))

@@ -68,4 +68,4 @@ class VerificationMismatch(CommonIterateFailure):
 
 
 class NoDegreeMatch(CommonIterateFailure):
-    reason = "degrees admit no common power under the cap"
+    reason = "degrees admit no common power"

@@ -406,11 +406,5 @@ def zeta(k: int) -> FieldElement:
     return FieldElement(k, _fold(k, [_F0, _F1]))
 
 
-def cyclotomic_polynomial(k: int):
-    """The k-th cyclotomic polynomial as a Polynomial over the rationals."""
-    from .polynomial import Polynomial
-    return Polynomial.from_ints(_cyclo_coeffs(k))
-
-
 def rational(p, q=1) -> FieldElement:
     return FieldElement.rational(p, q)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from .budget import current
 from .errors import PreconditionError
 from .exactfield import FieldElement, rational, zeta
 from .polynomial import Polynomial, gcd_univariate, squarefree_part
@@ -42,6 +43,7 @@ def chebyshev(d: int, sign: int = 1) -> RationalMap:
     """
     if d < 1:
         raise PreconditionError("degree must be at least one")
+    current().check_degree(d, f"map of degree {d}")
     if sign not in (1, -1):
         raise PreconditionError("sign must be +1 or -1")
     coeffs = [0] * (d + 1)
@@ -65,6 +67,7 @@ def power_map(d: int, inverse: bool = False, unity_order: int = 1,
     """zeta * z^d or zeta * z^(-d) for a chosen root of unity zeta."""
     if d < 1:
         raise PreconditionError("degree must be at least one")
+    current().check_degree(d, f"map of degree {d}")
     scalar = zeta(unity_order) ** unity_exponent
     monomial = Polynomial.variable() ** d
     if inverse:
@@ -241,6 +244,7 @@ def lattes_flexible(m: int, a, b) -> RationalMap:
     on the curve y^2 = x^3 + a*x + b."""
     if m < 1:
         raise PreconditionError("multiplier must be at least one")
+    current().check_degree(m * m, f"map of degree {m * m}")
     a = a if isinstance(a, FieldElement) else rational(a)
     b = b if isinstance(b, FieldElement) else rational(b)
     disc = rational(4) * a ** 3 + rational(27) * b ** 2

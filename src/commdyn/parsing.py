@@ -5,17 +5,20 @@ the operators + - * / ^.  Map expressions additionally use a single
 variable letter.  The printed form of every map and scalar in this
 package parses back to an equal value.
 
-Every parse takes a degree cap, checked before each operation is built:
-an exponent above the cap, a power whose degree would pass it, and a sum,
-difference, product or quotient whose operand degrees add up past it all
-raise BudgetError.
+Every parse reads the run's degree cap (budget.current()) and checks it
+before each operation is built: an exponent above the cap, a power whose
+degree would pass it, and a sum, difference, product or quotient whose
+operand degrees add up past it all raise BudgetError.  Parentheses may
+nest at most 64 deep, and a run of unary signs is folded in a loop, so no
+input exhausts the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import BudgetError, InputParseError
+from .budget import current
+from .errors import InputParseError
 from .exactfield import FieldElement, rational, zeta
 from .polynomial import Polynomial
 from .ratmap import INF, Point, RationalFunction, RationalMap
@@ -23,6 +26,8 @@ from .ratmap import INF, Point, RationalFunction, RationalMap
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+)|(?P<zeta>zeta\d+)|(?P<name>[A-Za-z_]\w*)"
     r"|(?P<op>[-+*/^()]))")
+
+_MAX_NESTING = 64
 
 
 def _tokenize(text: str) -> list[str]:
@@ -40,15 +45,15 @@ def _tokenize(text: str) -> list[str]:
 class _Parser:
     """Recursive descent over rational-function values."""
 
-    def __init__(self, tokens: list[str], var: str | None, degree_cap: int):
+    def __init__(self, tokens: list[str], var: str | None):
         self.tokens = tokens
         self.pos = 0
         self.var = var
-        self.degree_cap = degree_cap
+        self.depth = 0
+        self.budget = current()
 
     def within_cap(self, degree: int, what: str):
-        if degree > self.degree_cap:
-            raise BudgetError(f"{what} of degree {degree} exceeds cap {self.degree_cap}")
+        self.budget.check_degree(degree, f"{what} of degree {degree}")
 
     def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -93,13 +98,11 @@ class _Parser:
         return value
 
     def factor(self) -> RationalFunction:
-        if self.peek() == "-":
-            self.take()
-            return -self.factor()
-        if self.peek() == "+":
-            self.take()
-            return self.factor()
-        return self.power()
+        negate = False
+        while self.peek() in ("-", "+"):
+            negate ^= self.take() == "-"
+        value = self.power()
+        return -value if negate else value
 
     def power(self) -> RationalFunction:
         base = self.atom()
@@ -123,8 +126,13 @@ class _Parser:
     def atom(self) -> RationalFunction:
         tok = self.take()
         if tok == "(":
+            if self.depth == _MAX_NESTING:
+                raise InputParseError(
+                    f"parentheses nest deeper than {_MAX_NESTING} levels")
+            self.depth += 1
             inner = self.sum()
             self.expect(")")
+            self.depth -= 1
             return inner
         if tok.isdigit():
             return _const(rational(int(tok)))
@@ -145,25 +153,25 @@ def _const(c: FieldElement) -> RationalFunction:
     return RationalFunction(Polynomial.constant(c), Polynomial.one())
 
 
-def parse_function(text: str, var: str = "z", degree_cap: int = 5000) -> RationalFunction:
-    return _Parser(_tokenize(text), var, degree_cap).parse()
+def parse_function(text: str, var: str = "z") -> RationalFunction:
+    return _Parser(_tokenize(text), var).parse()
 
 
-def parse_map(text: str, var: str = "z", degree_cap: int = 5000) -> RationalMap:
+def parse_map(text: str, var: str = "z") -> RationalMap:
     """Parse a dominant self-map; constants are rejected."""
-    f = parse_function(text, var, degree_cap)
+    f = parse_function(text, var)
     if f.is_constant():
         raise InputParseError("expression is constant, not a map")
     return RationalMap.from_function(f)
 
 
-def parse_scalar(text: str, degree_cap: int = 5000) -> FieldElement:
-    f = _Parser(_tokenize(text), None, degree_cap).parse()
+def parse_scalar(text: str) -> FieldElement:
+    f = _Parser(_tokenize(text), None).parse()
     return f.num.coeff(0) / f.den.coeff(0)
 
 
-def parse_point(text: str, degree_cap: int = 5000) -> Point:
+def parse_point(text: str) -> Point:
     stripped = text.strip()
     if stripped in ("inf", "oo", "infinity"):
         return INF
-    return parse_scalar(stripped, degree_cap)
+    return parse_scalar(stripped)

@@ -56,14 +56,13 @@ def _divide_out(phi: Polynomial, other: Polynomial) -> Polynomial:
     return phi
 
 
-def periodic_polynomial(f: RationalMap, n: int,
-                        degree_cap: int = 5000) -> PeriodicSpectrum:
+def periodic_polynomial(f: RationalMap, n: int) -> PeriodicSpectrum:
     """Monic polynomial vanishing on the affine points of period dividing n.
 
     With f^n = F/G reduced, the fixed-point equation is z*G(z) = F(z);
     infinity is fixed exactly when deg F exceeds deg G.
     """
-    it = f.iterate(n, degree_cap)
+    it = f.iterate(n)
     return PeriodicSpectrum(
         n=n,
         phi=_fixed_polynomial(it),
@@ -71,21 +70,20 @@ def periodic_polynomial(f: RationalMap, n: int,
     )
 
 
-def exact_period_polynomial(f: RationalMap, n: int,
-                            degree_cap: int = 5000) -> PeriodicSpectrum:
+def exact_period_polynomial(f: RationalMap, n: int) -> PeriodicSpectrum:
     """Period-n polynomial with every proper-divisor period divided out.
 
     Quotients by gcd only, so parabolic multiplicity collisions can leave
     a root of lower exact period behind; callers needing certainty should
     verify the period of each root they use.
     """
-    spec = periodic_polynomial(f, n, degree_cap)
+    spec = periodic_polynomial(f, n)
     phi = spec.phi
     inf_flag = spec.infinity_is_periodic
     for m in range(1, n):
         if n % m != 0:
             continue
-        lower = periodic_polynomial(f, m, degree_cap)
+        lower = periodic_polynomial(f, m)
         if lower.infinity_is_periodic:
             inf_flag = False
         phi = _divide_out(phi, lower.phi)
@@ -93,8 +91,7 @@ def exact_period_polynomial(f: RationalMap, n: int,
                             infinity_is_periodic=inf_flag)
 
 
-def multiplier_spectrum(f: RationalMap, n: int,
-                        degree_cap: int = 5000) -> Polynomial:
+def multiplier_spectrum(f: RationalMap, n: int) -> Polynomial:
     """Monic polynomial whose roots are the period-n multipliers of f.
 
     With f^n = F/G reduced, of degree D, the affine period-n points are
@@ -111,7 +108,7 @@ def multiplier_spectrum(f: RationalMap, n: int,
     0 when deg F - deg G >= 2, and lc(G)/lc(F) when deg F - deg G = 1.
     The spectrum, of degree D + 1, is the affine part times (w - that)^m.
     """
-    it = f.iterate(n, degree_cap)
+    it = f.iterate(n)
     F, G = it.num, it.den
     phi = _fixed_polynomial(it)
     if phi.is_zero():
@@ -158,8 +155,7 @@ def _compose_numerator_mod(poly: Polynomial, gnum: Polynomial,
     return acc
 
 
-def verify_multiplier_identity(f: RationalMap, g: RationalMap, n: int, p: int,
-                               degree_cap: int = 5000) -> bool:
+def verify_multiplier_identity(f: RationalMap, g: RationalMap, n: int, p: int) -> bool:
     """Exact check that (f^{np})' takes equal values at z and g(z) on Per_np.
 
     The commutation of g with f^n is certified first by ratmap.agree.
@@ -174,11 +170,11 @@ def verify_multiplier_identity(f: RationalMap, g: RationalMap, n: int, p: int,
     are never periodic, so the divisibility test is unaffected and the
     large-degree gcd is avoided.
     """
-    fn = f.iterate(n, degree_cap)
+    fn = f.iterate(n)
     if not agree([g, fn], [fn, g]):
         raise PreconditionError(
             "the second map must commute with the n-th iterate of the first")
-    big = fn.iterate(p, degree_cap)
+    big = fn.iterate(p)
     phi = _fixed_polynomial(big)
     num = big.num.derivative() * big.den - big.num * big.den.derivative()
     den = big.den * big.den

@@ -32,7 +32,8 @@ from functools import reduce
 from math import prod
 from typing import Sequence, Union
 
-from .errors import BudgetError, PreconditionError
+from .budget import current
+from .errors import PreconditionError
 from .exactfield import FieldElement, rational
 from .polynomial import Polynomial, gcd_univariate
 
@@ -87,11 +88,13 @@ def agree(lhs: Sequence[RationalMap], rhs: Sequence[RationalMap]) -> bool:
 
     Composites of different degrees differ.  Otherwise both chains are
     composed, from the innermost map outward, and compared exactly; the
-    canonical scaling makes structural equality equality of maps.
+    canonical scaling makes structural equality equality of maps.  A
+    composite degree past the run's cap raises BudgetError first.
     """
     deg = prod(m.degree for m in lhs)
     if deg != prod(m.degree for m in rhs):
         return False
+    current().check_degree(deg, f"composite of degree {deg}")
     return _fold(lhs) == _fold(rhs)
 
 
@@ -265,12 +268,10 @@ class RationalMap(RationalFunction):
         """
         return RationalMap.from_function(self.substitute(inner))
 
-    def iterate(self, n: int, degree_cap: int = 5000) -> "RationalMap":
+    def iterate(self, n: int) -> "RationalMap":
         if n < 1:
             raise PreconditionError("iteration count must be at least one")
-        if self.degree ** n > degree_cap:
-            raise BudgetError(
-                f"iterate degree {self.degree}^{n} exceeds cap {degree_cap}")
+        current().check_degree(self.degree ** n, f"iterate degree {self.degree}^{n}")
         result = self
         for _ in range(n - 1):
             result = self.compose(result)

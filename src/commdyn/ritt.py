@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 
+from .budget import current
 from .errors import (
     NoDegreeMatch,
     NoFactorError,
@@ -175,12 +176,13 @@ class RittSequence:
     consumed_budget: int
 
 
-def ritt_sequence(f: RationalMap, g: RationalMap, max_steps: int = 32,
+def ritt_sequence(f: RationalMap, g: RationalMap, max_steps: int | None = None,
                   min_steps: int = 0) -> RittSequence:
     """Iterated shared-inner-factor decomposition of a commuting pair.
 
     Runs until the outer factors become linear-fractional (r = 1) or the
-    step budget runs out; both step invariants are verified eagerly and
+    step budget runs out: max_steps, or the run's ritt_steps when it is
+    None.  Both step invariants are verified eagerly and
     any failure raises, since it would signal an implementation bug.
     The recurrence stays well defined after the outer degree reaches one,
     so min_steps > 0 keeps extending the sequence past termination, which
@@ -188,6 +190,7 @@ def ritt_sequence(f: RationalMap, g: RationalMap, max_steps: int = 32,
     """
     if f.degree != g.degree or f.degree < 2:
         raise PreconditionError("equal degrees of at least two are required")
+    max_steps = current().ritt_steps if max_steps is None else max_steps
     if max_steps < 1 or min_steps < 0:
         raise PreconditionError(
             "max_steps must be at least one and min_steps nonnegative")
@@ -219,16 +222,14 @@ def ritt_sequence(f: RationalMap, g: RationalMap, max_steps: int = 32,
 
 
 def common_iterate_equal_degree(f: RationalMap, g: RationalMap,
-                                max_steps: int = 32,
                                 max_order: int = 120) -> int:
     """Smallest verified p with f^p = g^p, for commuting equal-degree maps.
 
     The decomposition sequence ends with linear-fractional outer factors;
     their quotient has finite order p, and the identity is re-verified by
-    ratmap.agree before p is returned.
+    ratmap.agree, which checks the run's degree cap, before p is returned.
     """
-    return _common_iterate_of_sequence(f, g, ritt_sequence(f, g, max_steps),
-                                       max_order)
+    return _common_iterate_of_sequence(f, g, ritt_sequence(f, g), max_order)
 
 
 def _common_iterate_of_sequence(f: RationalMap, g: RationalMap,
@@ -261,13 +262,13 @@ def _prime_exponents(n: int) -> dict[int, int]:
     return out
 
 
-def common_iterate_general(f: RationalMap, g: RationalMap,
-                           budget: int = 5000) -> tuple[int, int]:
+def common_iterate_general(f: RationalMap, g: RationalMap) -> tuple[int, int]:
     """(m, n) with g^m = f^n exactly, allowing unequal degrees.
 
     Degrees admit a common power only when their prime exponent vectors
     are proportional; the smallest matching iterate pair is handed to the
     equal-degree routine and the resulting exponent scales both sides.
+    An iterate pair above the run's degree cap raises BudgetError.
     """
     if f.degree < 2 or g.degree < 2:
         raise PreconditionError("degrees of at least two are required")
@@ -283,8 +284,5 @@ def common_iterate_general(f: RationalMap, g: RationalMap,
         elif r != ratio:
             raise NoDegreeMatch("degree exponent vectors are not proportional")
     n, m = ratio.numerator, ratio.denominator
-    if f.degree ** n > budget:
-        raise NoDegreeMatch("the smallest common-degree pair exceeds the cap")
-    p = common_iterate_equal_degree(f.iterate(n, degree_cap=budget),
-                                    g.iterate(m, degree_cap=budget))
+    p = common_iterate_equal_degree(f.iterate(n), g.iterate(m))
     return m * p, n * p

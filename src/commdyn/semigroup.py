@@ -14,8 +14,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .budget import current
 from .errors import (
-    BudgetError,
     NotAPowerError,
     NotInvariantError,
     PreconditionError,
@@ -25,8 +25,6 @@ from .ratmap import Point, RationalMap, agree, point_sort_key
 
 ORBIT_CLOSED = "Closed"
 ORBIT_BUDGET_EXCEEDED = "BudgetExceeded"
-
-_DEFAULT_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -58,19 +56,17 @@ class OrbitExploration:
         return any(point_sort_key(p) == key for p in self.points)
 
 
-def orbit(generators: Iterable[RationalMap], start: Point,
-          budget: int = _DEFAULT_BUDGET) -> OrbitExploration:
+def orbit(generators: Iterable[RationalMap], start: Point) -> OrbitExploration:
     """Breadth-first closure of start under all generators.
 
     Points are discovered in visit order, deduplicated exactly.  The run
     stops as soon as registering one more point would push the set past
-    the budget; the status field records which way it ended.
+    the run's orbit budget; the status field records which way it ended.
     """
     gens = tuple(generators)
     if not gens:
         raise PreconditionError("orbit exploration needs at least one generator")
-    if budget < 1:
-        raise PreconditionError("budget must be positive")
+    budget = current().orbit_budget
     seen = {point_sort_key(start)}
     points = [start]
     frontier = deque([start])
@@ -170,23 +166,20 @@ def classifier_phi(g: RationalMap, reference: RationalMap,
     return PhiValue(ell_g % ell_ref, row.images)
 
 
-def verify_identity_eq8(g: RationalMap, h: RationalMap, N: int,
-                        degree_cap: int = 5000) -> bool:
+def verify_identity_eq8(g: RationalMap, h: RationalMap, N: int) -> bool:
     """Exact check of the interleaved iterate identity.
 
     With G = g^N and H = h^N, decides whether G(GH)^N and (GH)^N G agree
-    as rational maps.  The total degree is checked up front: already at
-    N = 2 a pair of degree-4 maps blows past any workable cap.
+    as rational maps.  The total degree meets the run's cap up front:
+    already at N = 2 a pair of degree-4 maps blows past any workable cap.
     """
     if N < 1:
         raise PreconditionError("iterate count must be positive")
-    bits = degree_cap.bit_length()  # d^e > cap once d > 1 and e >= bits
+    bits = current().degree_cap.bit_length()  # d^e > cap once d > 1 and e >= bits
     e_g, e_h = N * (N + 1), N * N
-    if (g.degree > 1 and e_g >= bits) or (h.degree > 1 and e_h >= bits) \
-            or g.degree ** e_g * h.degree ** e_h > degree_cap:
-        raise BudgetError(f"composite degree {g.degree}^{e_g} * {h.degree}^{e_h} "
-                          f"exceeds cap {degree_cap}")
-    big_g = g.iterate(N, degree_cap)
-    big_h = h.iterate(N, degree_cap)
-    mixed = big_g.compose(big_h).iterate(N, degree_cap)
+    degree = g.degree ** min(e_g, bits) * h.degree ** min(e_h, bits)
+    current().check_degree(degree, f"composite degree {g.degree}^{e_g} * {h.degree}^{e_h}")
+    big_g = g.iterate(N)
+    big_h = h.iterate(N)
+    mixed = big_g.compose(big_h).iterate(N)
     return agree([big_g, mixed], [mixed, big_g])

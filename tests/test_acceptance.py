@@ -10,6 +10,7 @@ import math
 import random
 import time
 
+from commdyn.budget import Budget, limits
 from commdyn.correspondence import verify_lemma4, verify_lemma5
 from commdyn.exactfield import rational, zeta
 from commdyn.exceptional import chebyshev, verify_chebyshev_semiconjugacy
@@ -276,8 +277,8 @@ def test_criterion_13_orbit_explorer():
         index = row.images[index]
         seen.add(index)
     ok = ok and index == 0 and seen == {0, 1, 2}
-    blown = orbit([parse_map("z^2"), parse_map("z + 1")], rational(0),
-                  budget=500)
+    with limits(Budget(orbit_budget=500)):
+        blown = orbit([parse_map("z^2"), parse_map("z + 1")], rational(0))
     ok = ok and blown.status == ORBIT_BUDGET_EXCEEDED
     elapsed = time.monotonic() - start
     _report(13, ok and elapsed < 5.0, elapsed, 5.0,

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commdyn import cli
+from commdyn.budget import Budget, current, limits
 from commdyn.cli import RunConfig, emit_report, load_config, main
 from commdyn.errors import BudgetError, PreconditionError
 from commdyn.golden import GOLDEN_CHECKS, GoldenCheck, run_golden_suite
@@ -133,11 +134,25 @@ class TestExitCodes:
     def test_parser_caps_degree_before_building(self):
         with pytest.raises(BudgetError):
             parse_map("z^5001")
-        with pytest.raises(BudgetError):
-            parse_map("z^3*z^3*z^3", degree_cap=8)
-        with pytest.raises(BudgetError):
-            parse_map("(z^2 + 1)^5", degree_cap=8)
-        assert parse_map("z^3*z^3", degree_cap=8).degree == 6
+        with limits(Budget(degree_cap=8)):
+            with pytest.raises(BudgetError):
+                parse_map("z^3*z^3*z^3")
+            with pytest.raises(BudgetError):
+                parse_map("(z^2 + 1)^5")
+            assert parse_map("z^3*z^3").degree == 6
+
+    def test_nesting_is_bounded(self, capsys):
+        deep = "(" * 200 + "z" + ")" * 200
+        code, out, err = run_cli(capsys, "per", "poly", deep, "1")
+        assert code == 2 and out == ""
+        assert err.startswith("parse error") and "\n" not in err
+        assert parse_map("(" * 64 + "z^2" + ")" * 64) == parse_map("z^2")
+
+    def test_sign_runs_fold_without_recursion(self, capsys):
+        expected = run_cli(capsys, "per", "poly", "z^2", "1")
+        assert run_cli(capsys, "per", "poly", "--", "-" * 1000 + "z^2", "1") == expected
+        assert expected[0] == 0
+        assert parse_map("-" * 999 + "z^2") == parse_map("-z^2")
 
     def test_conductor_gate(self, capsys):
         code, _, err = run_cli(capsys, "per", "poly", "zeta32*z^2", "1",
@@ -304,6 +319,67 @@ class TestOneValidationPoint:
                                str(cfg))
         assert code == 2
         assert "unknown key" in err
+
+
+# g = v o u and h = v o rot o u of golden._quartic_pair(), in printed form
+QUARTIC_G = "(z^4 - 6*z^2 - 4*z + 18)/(z^3 - 6*z + 5)"
+QUARTIC_H = ("(zeta3*z^4 + (-10*zeta3 - 2)*z^2 + (4*zeta3 + 4)*z + (14*zeta3 - 2))"
+             "/(z^3 + (-zeta3 - 2)*z^2 + (2*zeta3 - 2)*z + (-zeta3 + 3))")
+
+
+class TestRunBudget:
+    """main runs every command under limits(config), so each cap bounds
+    every command, and is checked before the work it bounds."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--degree-cap", "8", "exp", "probe", "z^2", "--nmax", "5"],
+        ["ritt", "common-iterate", "zeta7*z^8", "z^8"],
+        ["ritt", "common-iterate", "zeta31*z^32", "z^32"],
+        ["--degree-cap", "8", "corr", "lemma4", "zeta7*z^8", "z^8"],
+        ["--degree-cap", "20", "corr", "closure", "z^2", "z^3"],
+        ["--kmax", "1", "corr", "lemma4", QUARTIC_G, QUARTIC_H],
+    ], ids=["probe", "common-iterate-p7", "common-iterate-p31", "lemma4-degree",
+            "closure", "lemma4-kmax"])
+    def test_cap_stops_before_the_work(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and out == ""
+        assert err.startswith("budget exceeded") and "\n" not in err
+
+    # each command with a fixed input, and the largest degree it builds
+    @pytest.mark.parametrize("argv, degree", [
+        (["gen", "chebyshev", "6"], 6),
+        (["gen", "power", "5", "--zeta", "3"], 5),
+        (["gen", "lattes", "2", "0", "1"], 4),
+        (["ritt", "seq", "z^2 - 2", "z^2 - 2"], 4),
+        (["ritt", "common-iterate", "z^3", "zeta2*z^3"], 9),
+        (["corr", "graph", "z^2", "z^3"], 3),
+        (["corr", "closure", "z", "zeta2*z"], 4),
+        (["corr", "lemma4", "z^3", "zeta2*z^3"], 9),
+        (["per", "poly", "z^2", "3"], 8),
+        (["per", "poly", "z^2 - 1", "3", "--exact"], 8),
+        (["per", "multipliers", "z^2", "2"], 4),
+        (["per", "eq2", "z^2", "z^3", "1", "1"], 6),
+        (["exp", "lyapunov", "z^2", "--depth", "4", "--breadth", "8"], 2),
+        (["exp", "probe", "z^2", "--nmax", "3", "--depth", "4", "--breadth", "8"], 8),
+        (["orbit", "explore", "z^2; zeta3*z", "--start", "zeta7"], 2),
+        (["orbit", "phi", "z^2", "z^8", "zeta7; zeta7^2; zeta7^4"], 8),
+        (["identity", "eq8", "z^2", "z + 1"], 4),
+    ], ids=lambda v: " ".join(v[:2]) if isinstance(v, list) else str(v))
+    def test_every_command_reads_the_degree_cap(self, capsys, argv, degree):
+        code, _, err = run_cli(capsys, "--degree-cap", str(degree - 1), *argv)
+        assert code == 3 and err.startswith("budget exceeded")
+        code, _, _ = run_cli(capsys, "--degree-cap", str(degree), *argv)
+        assert code == 0
+        assert current() == Budget()
+
+    def test_limits_restore_the_previous_budget(self):
+        with limits(Budget(degree_cap=8)):
+            with limits(Budget(degree_cap=4)):
+                assert current().degree_cap == 4
+            assert current() == Budget(degree_cap=8)
+        assert current() == Budget()
 
 
 class TestStartup:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from commdyn import correspondence
+from commdyn.budget import Budget, limits
 from commdyn.correspondence import (
     BoundReport,
     Correspondence,
@@ -133,9 +134,8 @@ class TestOrbitClosure:
         assert curve.bidegree == (E2_ORBIT_SIZE, E2_ORBIT_SIZE)
 
     def test_translation_never_stabilizes(self):
-        with pytest.raises(NotStabilizedError) as info:
-            orbit_closure(
-                Correspondence(parse_map("z"), parse_map("z + 1")), k_max=5)
+        with pytest.raises(NotStabilizedError) as info, limits(Budget(kmax=5)):
+            orbit_closure(Correspondence(parse_map("z"), parse_map("z + 1")))
         assert info.value.last_union is not None
         assert not info.value.last_union.is_constant()
 

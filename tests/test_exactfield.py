@@ -11,11 +11,17 @@ from commdyn.errors import ConductorCapError, PreconditionError
 from commdyn.exactfield import (
     CONDUCTOR_CAP,
     FieldElement,
-    cyclotomic_polynomial,
+    _cyclo_coeffs,
     euler_phi,
     rational,
     zeta,
 )
+from commdyn.polynomial import Polynomial
+
+
+def cyclotomic_polynomial(k: int) -> Polynomial:
+    """The k-th cyclotomic polynomial as a Polynomial over the rationals."""
+    return Polynomial.from_ints(_cyclo_coeffs(k))
 
 
 def test_cyclotomic_small_cases():

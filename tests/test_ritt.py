@@ -7,7 +7,9 @@ maps commute, share the third iterate, and exercise every stage.
 
 import pytest
 
+from commdyn.budget import Budget, limits
 from commdyn.errors import (
+    BudgetError,
     NoDegreeMatch,
     NoFactorError,
     PreconditionError,
@@ -161,5 +163,6 @@ def test_general_search_degree_arithmetic():
 def test_general_search_failures():
     with pytest.raises(NoDegreeMatch):
         common_iterate_general(parse_map("z^2"), parse_map("z^3"))
-    with pytest.raises(NoDegreeMatch):
-        common_iterate_general(parse_map("z^2"), parse_map("z^8"), budget=4)
+    f, g = parse_map("z^2"), parse_map("z^8")
+    with pytest.raises(BudgetError, match="iterate degree 2"), limits(Budget(degree_cap=4)):
+        common_iterate_general(f, g)

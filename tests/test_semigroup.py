@@ -3,6 +3,7 @@ and the interleaved iterate identity."""
 
 import pytest
 
+from commdyn.budget import Budget, limits
 from commdyn.errors import BudgetError, NotInvariantError, PreconditionError
 from commdyn.exactfield import rational, zeta
 from commdyn.exceptional import chebyshev
@@ -45,7 +46,8 @@ class TestOrbit:
         assert zeta(3) ** 2 in run
 
     def test_growing_heights_hit_budget(self):
-        run = orbit([SQUARE, SHIFT], rational(0), budget=150)
+        with limits(Budget(orbit_budget=150)):
+            run = orbit([SQUARE, SHIFT], rational(0))
         assert run.status == ORBIT_BUDGET_EXCEEDED
         assert len(run) == 150
         assert len(run.frontier) > 0
@@ -88,7 +90,7 @@ class TestOrbit:
 
     def test_budget_must_be_positive(self):
         with pytest.raises(PreconditionError):
-            orbit([SQUARE], rational(1), budget=0)
+            Budget(orbit_budget=0)
 
     def test_no_generators_rejected(self):
         with pytest.raises(PreconditionError):
